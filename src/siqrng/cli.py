@@ -59,6 +59,10 @@ FLOOR_NOTE = (
     "the value 95 sometimes quoted for that setting understates the requirement"
 )
 
+# Per-axis cap for --mu-grid/--q-grid, ten times the default grids' size:
+# one rate surface then holds at most 1e6 cells.
+MAX_GRID_POINTS = 1000
+
 
 class CliError(Exception):
     def __init__(self, stage: str, message: str):
@@ -110,8 +114,11 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, step = (float(tok) for tok in spec.split(":"))
     except ValueError:
         raise ValueError(f"grid spec must be start:stop:step, got {spec!r}") from None
-    if step <= 0 or stop < start:
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise ValueError(f"degenerate grid spec {spec!r}")
+    points = (stop - start) / step + 0.5  # np.arange below yields ceil(points) values
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"grid spec {spec!r} has more than {MAX_GRID_POINTS} points")
     return np.round(np.arange(start, stop + step / 2.0, step), 12)
 
 
@@ -240,9 +247,13 @@ def cmd_rate(args, out) -> int:
             else:
                 record = _counts_from_inline(args.counts_inline)
                 source = "<inline>"
-            n_pulses = args.N if args.N is not None else record.x.n + record.y.n + record.z.n
-            if n_pulses <= 0:
-                raise ValueError("pulse count must be positive")
+            clicks = record.x.n + record.y.n + record.z.n
+            n_pulses = args.N if args.N is not None else clicks
+            if not (math.isfinite(n_pulses) and n_pulses > 0):
+                raise ValueError(f"pulse count must be finite and positive: {n_pulses!r}")
+            if clicks > n_pulses:
+                # each pulse yields at most one recorded outcome
+                raise ValueError(f"counts hold {clicks:.9g} clicks, more than the {n_pulses:.9g} pulses")
             config_echo += [("config.counts", source), ("config.N", n_pulses)]
         elif args.simulate:
             stage = "configuration"

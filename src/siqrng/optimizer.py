@@ -10,6 +10,7 @@ both reproducible and fast; no stochastic search is involved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,14 @@ def rate_surface(
     counts -> squashed intervals -> worst case -> fluctuation floor ->
     coherence -> min-entropy bound -> double-click cost.  Grid points whose
     Z sample is below the finite-size floor certify nothing and score 0.
+    A non-finite or nonpositive n_pulses, or p_mix outside [0, 1] (NaN
+    included), raises ValueError rather than scoring the grid.
     """
     _check_policy(policy)
+    if not (math.isfinite(n_pulses) and n_pulses > 0.0):
+        raise ValueError(f"n_pulses must be finite and positive: {n_pulses!r}")
+    if not 0.0 <= p_mix <= 1.0:
+        raise ValueError(f"p_mix must lie in [0, 1]: {p_mix!r}")
     mus = np.asarray(mus, dtype=float)
     qs = np.asarray(qs, dtype=float)
     if mus.size == 0 or qs.size == 0:

@@ -20,3 +20,20 @@ def random_tomogram_array(count: int, seed: int) -> np.ndarray:
 @pytest.fixture
 def tomogram_batch():
     return random_tomogram_array
+
+
+@pytest.fixture
+def perturb_irfft(monkeypatch):
+    """Call with (index, offset) to make np.fft.irfft add offset to that entry of its result."""
+
+    def apply(index: int, offset: float) -> None:
+        irfft = np.fft.irfft
+
+        def wrapped(*args, **kwargs):
+            result = irfft(*args, **kwargs)
+            result[index] += offset
+            return result
+
+        monkeypatch.setattr(np.fft, "irfft", wrapped)
+
+    return apply

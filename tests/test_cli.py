@@ -120,6 +120,13 @@ class TestRate:
         assert rc == 2
         assert "error[reading counts]" in err
 
+    @pytest.mark.parametrize("n_pulses", ["10", "11999", "nan", "inf"])
+    def test_counts_must_fit_pulse_count(self, capsys, counts_file, n_pulses):
+        # the file records 12000 clicks, and each pulse yields at most one
+        rc, out, err = run(capsys, ["rate", "--counts", str(counts_file), "--N", n_pulses])
+        assert rc == 2 and out == ""
+        assert err.startswith("error[reading counts]")
+
 
 class TestSimulate:
     def test_document_and_counts_file(self, capsys, tmp_path):
@@ -204,6 +211,27 @@ class TestOptimize:
         rc, _, err = run(capsys, ["optimize", "--N", "1e7", "--mu-grid", "nonsense"])
         assert rc == 2
         assert "error[configuration]" in err
+
+    @pytest.mark.parametrize(
+        "flags", [["--N", "1e8", "--p", "nan"], ["--N", "1e8", "--p", "1.5"], ["--N", "nan"]]
+    )
+    def test_out_of_domain_source_fails(self, capsys, flags):
+        # the entropy kernel reads NaN as a pure state, so NaN must never reach it
+        rc, out, err = run(capsys, ["optimize"] + flags)
+        assert rc == 2 and out == ""
+        assert err.startswith("error[optimization]")
+
+    @pytest.mark.parametrize("grid", ["0:5:1e-9", "0:1e300:1e-300", "0.001:1.002:0.001"])
+    def test_oversized_grid_rejected_before_allocation(self, capsys, monkeypatch, grid):
+        import numpy as np
+
+        def no_arange(*args, **kwargs):
+            raise AssertionError("grid array was built")
+
+        monkeypatch.setattr(np, "arange", no_arange)
+        rc, _, err = run(capsys, ["optimize", "--N", "1e8", "--mu-grid", grid])
+        assert rc == 2
+        assert err.startswith("error[configuration]") and "more than 1000" in err
 
 
 class TestCompare:
@@ -294,6 +322,19 @@ class TestExtract:
         rc, _, err = run(capsys, ["extract", "--input", str(raw), "--seed-file", str(seed)])
         assert rc == 2
         assert "error[configuration]" in err
+
+    def test_rounding_guard_failure_writes_nothing(self, capsys, tmp_path, perturb_irfft):
+        raw, seed, dest = tmp_path / "raw.txt", tmp_path / "seed.txt", tmp_path / "out.txt"
+        raw.write_text("1011001110")
+        seed.write_text("0110100111011")
+        perturb_irfft(9 + 1, 0.4)  # row 1 of m = 4
+        rc, out, err = run(
+            capsys,
+            ["extract", "--input", str(raw), "--seed-file", str(seed), "--m", "4", "--out", str(dest)],
+        )
+        assert rc == 2 and out == ""
+        assert err.startswith("error[extraction]") and "margin" in err
+        assert not dest.exists()
 
     def test_wrong_seed_length_fails(self, capsys, tmp_path):
         raw = tmp_path / "raw.txt"

@@ -116,24 +116,70 @@ class TestExtraction:
             combined = toeplitz_extract(a, spec) ^ toeplitz_extract(b, spec)
             assert np.array_equal(direct, combined)
 
-    @pytest.mark.parametrize("n,m", [(128, 32), (1 << 10, 100), (1 << 13, 200), (1 << 16, 64)])
-    def test_blocked_path_is_bit_identical(self, n, m):
+    @pytest.mark.parametrize(
+        "n,m",
+        [
+            (1, 1), (9, 1), (17, 17),
+            # n + m - 1 just below, at and just above a power of two
+            (200, 56), (200, 57), (200, 58), (128, 128), (129, 128),
+            (128, 32), (1 << 10, 100), (1 << 13, 200), (1 << 16, 64),
+        ],
+    )
+    def test_fft_path_is_bit_identical(self, n, m):
         rng = np.random.default_rng(n)
         seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
         raw = rng.integers(0, 2, n, dtype=np.uint8)
         spec = spec_for(n, m, seed)
         via_matrix = toeplitz_extract(raw, spec, method="matrix")
-        via_blocks = toeplitz_extract(raw, spec, method="blocked")
-        assert np.array_equal(via_matrix, via_blocks)
+        via_fft = toeplitz_extract(raw, spec, method="fft")
+        assert np.array_equal(via_matrix, via_fft)
 
-    def test_auto_method_selection(self):
+    def test_fft_matches_matrix_on_random_shapes(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            n = int(rng.integers(1, 600))
+            m = int(rng.integers(1, n + 1))
+            seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
+            raw = rng.integers(0, 2, n, dtype=np.uint8)
+            spec = spec_for(n, m, seed)
+            assert np.array_equal(
+                toeplitz_extract(raw, spec), toeplitz_extract(raw, spec, method="matrix")
+            )
+
+    def test_method_selection(self):
         spec = spec_for(3, 2, GOLDEN["seed"])
         assert np.array_equal(
-            toeplitz_extract(GOLDEN["raw"], spec, method="auto"),
+            toeplitz_extract(GOLDEN["raw"], spec),
             toeplitz_extract(GOLDEN["raw"], spec, method="matrix"),
         )
-        with pytest.raises(ValueError):
-            toeplitz_extract(GOLDEN["raw"], spec, method="fancy")
+        for method in ("fancy", "auto", "blocked"):
+            with pytest.raises(ValueError):
+                toeplitz_extract(GOLDEN["raw"], spec, method=method)
+
+    def test_benchmark_sized_block_sampled_rows(self):
+        # the matrix oracle would need ~27 GB here, so check sampled rows directly
+        n, m = 89_000, 37_653
+        rng = np.random.default_rng(59)
+        seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
+        raw = rng.integers(0, 2, n, dtype=np.uint8)
+        out = toeplitz_extract(raw, spec_for(n, m, seed))
+        assert out.shape == (m,)
+        rows = np.concatenate([[0, 1, m - 2, m - 1], rng.choice(m, 200, replace=False)])
+        for i in rows:
+            # row i of T is seed[i : i + n] reversed
+            parity = int(np.dot(seed[i : i + n][::-1].astype(np.int64), raw)) & 1
+            assert out[i] == parity
+
+    @pytest.mark.parametrize("offset", [0.4, 0.6])  # 0.6 would round to the wrong integer
+    def test_rounding_guard_fires(self, perturb_irfft, offset):
+        n, m = 64, 24
+        rng = np.random.default_rng(61)
+        spec = spec_for(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
+        raw = rng.integers(0, 2, n, dtype=np.uint8)
+        perturb_irfft(n - 1 + m // 2, offset)
+        with pytest.raises(ValueError, match="margin"):
+            toeplitz_extract(raw, spec)
+        assert toeplitz_extract(raw, spec, method="matrix").size == m
 
     def test_universality_exhaustive_small(self):
         # over every seed, distinct inputs collide on at most a 2^-m fraction

@@ -161,6 +161,17 @@ class TestOptimize:
         with pytest.raises(ValueError):
             optimize(1e8, 0.1, BUDGET, policy="other")
 
+    @pytest.mark.parametrize(
+        "n_pulses,p_mix",
+        [(1e8, float("nan")), (1e8, 1.5), (1e8, -0.1), (float("nan"), 0.1), (float("inf"), 0.1), (0.0, 0.1)],
+    )
+    def test_source_validation(self, n_pulses, p_mix):
+        # a NaN p_mix reaching the entropy kernel certifies more than a noiseless source
+        with pytest.raises(ValueError):
+            optimize(n_pulses, p_mix, BUDGET)
+        with pytest.raises(ValueError):
+            rate_surface(n_pulses, p_mix, np.array([1.4]), np.array([0.01]), BUDGET)
+
     def test_trace_is_replayable(self):
         result = optimize(1e7, 0.0, BUDGET, refine_levels=1)
         assert isinstance(result, OptimizationResult)
