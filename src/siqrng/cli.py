@@ -49,7 +49,7 @@ from .bounds import (
     tomo_rate_asymptotic,
     witness_rate_asymptotic,
 )
-from .detector import ExperimentConfig, analytic_click_stats, mc_sample
+from .detector import ClickStats, ExperimentConfig, analytic_click_stats, mc_sample
 from .extractor import ToeplitzSpec, format_bit_string, output_length, read_bits, toeplitz_extract, write_bits
 from .optimizer import DEFAULT_MU_GRID, DEFAULT_Q_GRID, optimize
 from .qubit import QubitTomogram, coherence_rel_entropy
@@ -58,6 +58,9 @@ FLOOR_NOTE = (
     "validity floor is ceil((8/5)*log2(2/eps1^2)), e.g. 108 at eps1 = 1e-10; "
     "the value 95 sometimes quoted for that setting understates the requirement"
 )
+
+# Echoed fields of a simulated configuration, as (report key, attribute).
+_CONFIG_ECHO = (("N", "n_pulses"), ("q", "q"), ("mu0", "mu0"), ("eta", "eta"), ("p", "p_mix"), ("mu", "mu"))
 
 # Per-axis cap for --mu-grid/--q-grid, ten times the default grids' size:
 # one rate surface then holds at most 1e6 cells.
@@ -192,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.add_argument("--simulate", action="store_true", help="use the detector model instead of a file")
     p_rate.add_argument("--mc", action="store_true", help="Monte Carlo sampling instead of expected counts")
     p_rate.add_argument("--seed", type=int, default=0)
-    p_rate.add_argument("--workers", type=int, default=1)
     _add_source_args(p_rate)
     _add_epsilon_args(p_rate)
     p_rate.add_argument("--policy", choices=("discard", "assign"), default="discard")
@@ -206,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(p_sim)
     p_sim.add_argument("--mc", action="store_true")
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--workers", type=int, default=1)
     p_sim.add_argument("--out", help="write counts lines (expected counts are rounded)")
 
     p_opt = sub.add_parser("optimize", help="best (mu, q) for a pulse budget")
@@ -256,28 +257,10 @@ def cmd_rate(args, out) -> int:
                 raise ValueError(f"counts hold {clicks:.9g} clicks, more than the {n_pulses:.9g} pulses")
             config_echo += [("config.counts", source), ("config.N", n_pulses)]
         elif args.simulate:
-            stage = "configuration"
-            for name in ("N", "q", "mu0"):
-                if getattr(args, name) is None:
-                    raise ValueError(f"--simulate needs --{name}")
-            config = ExperimentConfig(
-                n_pulses=args.N, q=args.q, mu0=args.mu0, eta=args.eta, p_mix=args.p
-            )
-            stage = "simulation"
-            stats = mc_sample(config, args.seed, args.workers) if args.mc else analytic_click_stats(config)
+            config, stats, echo = _simulate(args, "--simulate")
             record = stats.record()
             n_pulses = config.n_pulses
-            config_echo += [
-                ("config.N", config.n_pulses),
-                ("config.q", config.q),
-                ("config.mu0", config.mu0),
-                ("config.eta", config.eta),
-                ("config.p", config.p_mix),
-                ("config.mu", config.mu),
-                ("config.source", "mc" if args.mc else "analytic"),
-            ]
-            if args.mc:
-                config_echo += [("config.seed", args.seed), ("config.workers", args.workers)]
+            config_echo += echo
         else:
             raise ValueError("one of --counts or --simulate is required")
         config_echo += _echo_budget(budget)
@@ -421,27 +404,31 @@ def cmd_compare(args, out) -> int:
         raise CliError(stage, str(e)) from e
 
 
-def cmd_simulate(args, out) -> int:
-    stage = "configuration"
+def _simulate(args, flag: str) -> tuple[ExperimentConfig, ClickStats, list[tuple[str, object]]]:
+    """The model's configuration and click statistics, with their config.* echo."""
     try:
         for name in ("N", "q", "mu0"):
             if getattr(args, name) is None:
-                raise ValueError(f"simulate needs --{name}")
+                raise ValueError(f"{flag} needs --{name}")
         config = ExperimentConfig(n_pulses=args.N, q=args.q, mu0=args.mu0, eta=args.eta, p_mix=args.p)
-        stage = "simulation"
-        stats = mc_sample(config, args.seed, args.workers) if args.mc else analytic_click_stats(config)
-        doc: list[tuple[str, object]] = [
-            ("command", "simulate"),
-            ("config.N", config.n_pulses),
-            ("config.q", config.q),
-            ("config.mu0", config.mu0),
-            ("config.eta", config.eta),
-            ("config.p", config.p_mix),
-            ("config.mu", config.mu),
-            ("config.source", "mc" if args.mc else "analytic"),
-        ]
-        if args.mc:
-            doc += [("config.seed", args.seed), ("config.workers", args.workers)]
+    except ValueError as e:
+        raise CliError("configuration", str(e)) from e
+    try:
+        stats = mc_sample(config, args.seed) if args.mc else analytic_click_stats(config)
+    except ValueError as e:
+        raise CliError("simulation", str(e)) from e
+    echo = [(f"config.{key}", getattr(config, name)) for key, name in _CONFIG_ECHO]
+    echo.append(("config.source", "mc" if args.mc else "analytic"))
+    if args.mc:
+        echo.append(("config.seed", args.seed))
+    return config, stats, echo
+
+
+def cmd_simulate(args, out) -> int:
+    _, stats, echo = _simulate(args, "simulate")
+    stage = "writing output"
+    try:
+        doc: list[tuple[str, object]] = [("command", "simulate"), *echo]
         for name in ("x", "y", "z"):
             counts = stats.basis(name)
             doc += [
@@ -455,7 +442,6 @@ def cmd_simulate(args, out) -> int:
                 doc.append((f"double_fraction.{name}", counts.nd / counts.n))
         _emit(doc, out)
         if args.out:
-            stage = "writing output"
             record = stats.record()
             if not args.mc:
                 record = ClickRecord(

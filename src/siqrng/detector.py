@@ -15,8 +15,11 @@ Eh = exp(-mu / 2), the per-pulse rates are
     X:  n0 = 1 - p - E + p Eh     n1 = p (Eh - E)    nd = p (1 + E - 2 Eh)
     Y,Z: n0 = n1 = Eh - E                            nd = 1 + E - 2 Eh
 
-scaled by N q (X, Y) or N (1 - 2q) (Z).  The Monte Carlo sampler below is
-an independent per-pulse implementation of the same model.
+scaled by N q (X, Y) or N (1 - 2q) (Z).  The Monte Carlo sampler below
+checks them without using these exponentials: it draws the counts exactly in
+distribution, stratum by stratum (basis, mixed or pure, photon number), from
+the per-photon-number outcome probabilities, with the Poisson tail beyond
+its largest photon number below 1e-15.
 """
 
 from __future__ import annotations
@@ -36,7 +39,10 @@ from .acquisition import (
     worst_case_prob,
 )
 
-_MC_BLOCK = 1_000_000
+# Poisson mass beyond the largest sampled photon number (lumped into it).
+PHOTON_TAIL = 1e-15
+# Cap on the photon-number window, reached near mu0 = 9.5e4.
+MAX_PHOTONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -50,12 +56,12 @@ class ExperimentConfig:
     p_mix: float
 
     def __post_init__(self) -> None:
-        if self.n_pulses < 1:
-            raise ValueError(f"n_pulses must be at least 1: {self.n_pulses!r}")
+        if not (math.isfinite(self.n_pulses) and self.n_pulses >= 1):
+            raise ValueError(f"n_pulses must be finite and at least 1: {self.n_pulses!r}")
         if not 0.0 < self.q < 0.5:
             raise ValueError(f"q must lie strictly in (0, 1/2): {self.q!r}")
-        if self.mu0 <= 0.0:
-            raise ValueError(f"mu0 must be positive: {self.mu0!r}")
+        if not (math.isfinite(self.mu0) and self.mu0 > 0.0):
+            raise ValueError(f"mu0 must be finite and positive: {self.mu0!r}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta outside [0, 1]: {self.eta!r}")
         if not 0.0 <= self.p_mix <= 1.0:
@@ -106,6 +112,20 @@ def analytic_click_stats(config: ExperimentConfig) -> ClickStats:
     return ClickStats(x=x, y=y, z=z, pulses_x=n * q, pulses_y=n * q, pulses_z=w)
 
 
+def _outcome_probs(m: np.ndarray, eta: float, to_zero: float = 0.5) -> np.ndarray:
+    """Probabilities of (only 0, only 1, both, neither) clicking for m photons.
+
+    Each photon survives with probability eta and then reaches detector 0
+    with probability to_zero: 1/2 where it routes 50/50, 1 for pure X.
+    """
+    m = np.asarray(m, dtype=float)
+    none = (1.0 - eta) ** m
+    only0 = (1.0 - eta * (1.0 - to_zero)) ** m - none
+    only1 = (1.0 - eta * to_zero) ** m - none
+    both = np.maximum(1.0 - none - only0 - only1, 0.0)
+    return np.stack([only0, only1, both, none], axis=-1)
+
+
 def double_click_prob(m: int, eta: float, basis: str, p_mix: float = 0.0) -> float:
     """Probability that an m-photon pulse fires both detectors.
 
@@ -119,7 +139,7 @@ def double_click_prob(m: int, eta: float, basis: str, p_mix: float = 0.0) -> flo
         raise ValueError(f"eta outside [0, 1]: {eta!r}")
     if not 0.0 <= p_mix <= 1.0:
         raise ValueError(f"p_mix outside [0, 1]: {p_mix!r}")
-    routed = 1.0 + (1.0 - eta) ** m - 2.0 * (1.0 - eta / 2.0) ** m
+    routed = float(_outcome_probs(m, eta)[2])
     basis = basis.lower()
     if basis == "x":
         return p_mix * routed
@@ -128,60 +148,50 @@ def double_click_prob(m: int, eta: float, basis: str, p_mix: float = 0.0) -> flo
     raise ValueError(f"unknown basis {basis!r}")
 
 
-def _accumulate_block(rng: np.random.Generator, size: int, config: ExperimentConfig, acc: dict) -> None:
-    q, p = config.q, config.p_mix
-    u = rng.random(size)
-    basis = np.where(u < q, 0, np.where(u < 2.0 * q, 1, 2)).astype(np.int8)
-    photons = rng.poisson(config.mu0, size)
-    survivors = rng.binomial(photons, config.eta)
-    mixed = rng.random(size) < p
-    routed0 = rng.binomial(survivors, 0.5)
-    pure_x = (basis == 0) & ~mixed
-    k0 = np.where(pure_x, survivors, routed0)
-    k1 = survivors - k0
-    click0 = k0 > 0
-    click1 = k1 > 0
-    for code, name in ((0, "x"), (1, "y"), (2, "z")):
-        sel = basis == code
-        acc[name]["pulses"] += int(sel.sum())
-        acc[name]["n0"] += int((sel & click0 & ~click1).sum())
-        acc[name]["n1"] += int((sel & click1 & ~click0).sum())
-        acc[name]["nd"] += int((sel & click0 & click1).sum())
+def _photon_pmf(mu0: float) -> np.ndarray:
+    """Poisson(mu0) probabilities of 0..m_max photons, the tail lumped into m_max.
 
-
-def mc_sample(config: ExperimentConfig, seed: int, workers: int = 1) -> ClickStats:
-    """Monte Carlo click counts; deterministic given (config, seed, workers).
-
-    The pulse stream is partitioned into `workers` contiguous chunks, each
-    driven by its own counter-based generator spawned from the seed, so the
-    result does not depend on execution order.
+    m_max is the smallest photon number with P(m > m_max) < PHOTON_TAIL.  The
+    pmf is computed in log space over a window with a negligible tail, and
+    the tail is summed smallest term first, so that 1e-15 is well resolved.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1: {workers!r}")
+    top = math.ceil(mu0 + 16.0 * math.sqrt(mu0) + 40.0)
+    if top > MAX_PHOTONS:
+        raise ValueError(f"mu0 too large for photon-number sampling: {mu0!r}")
+    m = np.arange(top + 1)
+    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(m[1:]))))
+    pmf = np.exp(m * math.log(mu0) - mu0 - log_factorial)
+    pmf /= pmf.sum()  # rounding in the logs, not the window, sets the sum apart from 1
+    assert pmf[-1] < 1e-6 * PHOTON_TAIL, "photon window shorter than the tail bound needs"
+    tail = np.append(np.cumsum(pmf[:0:-1])[::-1], 0.0)  # tail[k] = P(k < m <= top)
+    m_max = int(np.argmax(tail < PHOTON_TAIL))
+    pmf = pmf[: m_max + 1]
+    pmf[m_max] += tail[m_max]
+    return pmf
+
+
+def mc_sample(config: ExperimentConfig, seed: int) -> ClickStats:
+    """Monte Carlo click counts; deterministic given (config, seed).
+
+    Pulses are i.i.d., so the counts are drawn per stratum, not per pulse:
+    basis split, mixed X pulses, photon numbers per group, and outcomes per
+    group and photon number.  The work is O(m_max) whatever the pulse count.
+    """
     n = int(config.n_pulses)
-    if n != config.n_pulses:
-        raise ValueError(f"Monte Carlo sampling needs an integer pulse count: {config.n_pulses!r}")
-    acc = {name: {"pulses": 0, "n0": 0, "n1": 0, "nd": 0} for name in ("x", "y", "z")}
-    chunk_sizes = [n // workers + (1 if i < n % workers else 0) for i in range(workers)]
-    for child, chunk in zip(np.random.SeedSequence(seed).spawn(workers), chunk_sizes):
-        rng = np.random.Generator(np.random.Philox(child))
-        done = 0
-        while done < chunk:
-            block = min(_MC_BLOCK, chunk - done)
-            _accumulate_block(rng, block, config, acc)
-            done += block
-    counts = {
-        name: BasisCounts(n0=acc[name]["n0"], n1=acc[name]["n1"], nd=acc[name]["nd"])
-        for name in ("x", "y", "z")
-    }
-    return ClickStats(
-        x=counts["x"],
-        y=counts["y"],
-        z=counts["z"],
-        pulses_x=acc["x"]["pulses"],
-        pulses_y=acc["y"]["pulses"],
-        pulses_z=acc["z"]["pulses"],
-    )
+    if n != config.n_pulses or n > np.iinfo(np.int64).max:
+        raise ValueError(f"Monte Carlo sampling needs an integer pulse count below 2**63: {config.n_pulses!r}")
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    n_x, n_y, n_z = rng.multinomial(n, [config.q, config.q, 1.0 - 2.0 * config.q])
+    n_mixed = rng.binomial(n_x, config.p_mix)
+    pmf = _photon_pmf(config.mu0)
+    # rows: pure X, mixed X, Y, Z; columns: photon number
+    photons = rng.multinomial([n_x - n_mixed, n_mixed, n_y, n_z], pmf)
+    m = np.arange(pmf.size)
+    routed = _outcome_probs(m, config.eta)
+    table = np.stack([_outcome_probs(m, config.eta, to_zero=1.0), routed, routed, routed])
+    outcomes = rng.multinomial(photons, table).sum(axis=1)
+    x, y, z = (BasisCounts(*(int(v) for v in row[:3])) for row in (outcomes[0] + outcomes[1], *outcomes[2:]))
+    return ClickStats(x, y, z, int(n_x), int(n_y), int(n_z))
 
 
 @dataclass(frozen=True)

@@ -154,8 +154,9 @@ def optimize(
     mu is the detected intensity eta * mu0; divide by eta to recover the
     source setting.  Each refinement level shrinks the step tenfold around
     the incumbent.  Ties are broken toward smaller mu, then smaller q, so
-    repeated runs return the identical optimum.  When the whole surface is
-    zero the result carries rate 0 and the 'no positive rate' status.
+    repeated runs return the identical optimum.  When no evaluated cell is
+    positive there is no optimum: the result carries rate 0, mu_opt and
+    q_opt NaN, and the 'no positive rate' status.
     """
     if refine_levels < 0:
         raise ValueError(f"refine_levels must be nonnegative: {refine_levels!r}")
@@ -198,10 +199,11 @@ def optimize(
         step_q /= 10.0
 
     trace = np.vstack(pieces)
+    positive = best_rate > 0.0
     return OptimizationResult(
-        mu_opt=best_mu,
-        q_opt=best_q,
+        mu_opt=best_mu if positive else math.nan,
+        q_opt=best_q if positive else math.nan,
         rate_opt=best_rate,
-        positive=best_rate > 0.0,
+        positive=positive,
         trace=trace,
     )

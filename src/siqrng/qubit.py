@@ -45,13 +45,15 @@ def binary_entropy(p: float) -> float:
 
 
 def binary_entropy_arr(p: np.ndarray) -> np.ndarray:
-    """Vectorized twin of binary_entropy; no domain checks."""
+    """Vectorized twin of binary_entropy; no domain checks.
+
+    Finite values outside (0, 1) give 0; NaN gives NaN, so that an undefined
+    probability cannot pass for a certain outcome.
+    """
     p = np.asarray(p, dtype=float)
-    out = np.zeros(p.shape)
-    inner = (p > 0.0) & (p < 1.0)
-    q = p[inner]
-    out[inner] = -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q)
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
+    return np.where((p <= 0.0) | (p >= 1.0), 0.0, h)
 
 
 def shannon_entropy(dist: Sequence[float]) -> float:

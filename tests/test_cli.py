@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import math
+import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from siqrng.cli import main
 
@@ -70,7 +75,7 @@ class TestRate:
 
     def test_deterministic_output(self, capsys):
         argv = [
-            "rate", "--simulate", "--mc", "--seed", "9", "--workers", "2",
+            "rate", "--simulate", "--mc", "--seed", "9",
             "--N", "100000", "--q", "0.05", "--mu0", "1", "--p", "0.1",
         ]
         rc1, out1, _ = run(capsys, argv)
@@ -126,6 +131,52 @@ class TestRate:
         rc, out, err = run(capsys, ["rate", "--counts", str(counts_file), "--N", n_pulses])
         assert rc == 2 and out == ""
         assert err.startswith("error[reading counts]")
+
+    @pytest.mark.parametrize("flags", [["--mu0", "inf"], ["--N", "nan"]], ids=["mu0-inf", "N-nan"])
+    def test_non_finite_source_fails_at_configuration(self, capsys, flags):
+        argv = ["rate", "--simulate", "--N", "1e8", "--q", "0.01", "--mu0", "1.4"] + flags
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error[configuration]")
+
+    def test_paper_scale_monte_carlo_under_a_second(self, capsys):
+        argv = ["rate", "--simulate", "--mc", "--seed", "3", "--N", "1e10", "--q", "0.01", "--mu0", "1.4"]
+        start = time.perf_counter()
+        rc, out, _ = run(capsys, argv)
+        elapsed = time.perf_counter() - start
+        assert rc == 0
+        assert parse_doc(out)["status"] == "ok"
+        assert elapsed < 1.0
+
+    def test_oversized_photon_window_fails(self, capsys):
+        argv = ["rate", "--simulate", "--mc", "--N", "1e6", "--q", "0.01", "--mu0", "1e6"]
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error[simulation]")
+
+
+NON_FINITE = st.sampled_from(["nan", "inf", "-inf"])
+SOURCE_FLAGS = {"--N": "1e8", "--q": "0.01", "--mu0": "1.4", "--eta": "0.9", "--p": "0.1", "--eps1": "1e-10"}
+COMMANDS = {
+    "rate": (["rate", "--simulate"], SOURCE_FLAGS),
+    "rate-mc": (["rate", "--simulate", "--mc"], SOURCE_FLAGS),
+    "optimize": (["optimize"], {k: SOURCE_FLAGS[k] for k in ("--N", "--eta", "--p", "--eps1")}),
+}
+
+
+@given(command=st.sampled_from(sorted(COMMANDS)), data=st.data())
+def test_non_finite_inputs_never_certify(command, data):
+    prefix, defaults = COMMANDS[command]
+    names = data.draw(st.lists(st.sampled_from(sorted(defaults)), min_size=1, max_size=3, unique=True))
+    flags = dict(defaults, **{name: data.draw(NON_FINITE) for name in names})
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(prefix + [f"{name}={value}" for name, value in flags.items()])  # '=' lets '-inf' through
+    if rc == 0:
+        doc = parse_doc(out.getvalue())
+        assert float(doc["net_bits" if command != "optimize" else "rate_opt"]) <= 0.0
+    else:
+        assert rc == 2 and err.getvalue().startswith("error[")
 
 
 class TestSimulate:
@@ -207,6 +258,15 @@ class TestOptimize:
         assert rc == 0
         assert parse_doc(out)["status"] == "no positive rate"
 
+    def test_no_positive_rate_reports_no_optimum(self, capsys):
+        # refinement used to drift to (0.445, 0.0445), outside the requested grid
+        argv = ["optimize", "--N", "1e4", "--p", "0.1", "--mu-grid", "1:2:0.5", "--q-grid", "0.1:0.2:0.05"]
+        rc, out, _ = run(capsys, argv)
+        assert rc == 0
+        doc = parse_doc(out)
+        assert doc["status"] == "no positive rate"
+        assert (doc["mu_opt"], doc["q_opt"], doc["mu0_opt"], doc["rate_opt"]) == ("nan", "nan", "nan", "0")
+
     def test_bad_grid_spec(self, capsys):
         rc, _, err = run(capsys, ["optimize", "--N", "1e7", "--mu-grid", "nonsense"])
         assert rc == 2
@@ -216,7 +276,7 @@ class TestOptimize:
         "flags", [["--N", "1e8", "--p", "nan"], ["--N", "1e8", "--p", "1.5"], ["--N", "nan"]]
     )
     def test_out_of_domain_source_fails(self, capsys, flags):
-        # the entropy kernel reads NaN as a pure state, so NaN must never reach it
+        # an undefined or out-of-domain source is refused before any cell is scored
         rc, out, err = run(capsys, ["optimize"] + flags)
         assert rc == 2 and out == ""
         assert err.startswith("error[optimization]")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,6 @@ from siqrng.detector import ExperimentConfig, analytic_click_stats, simulated_wo
 from siqrng.optimizer import (
     DEFAULT_MU_GRID,
     DEFAULT_Q_GRID,
-    MU_BOX,
-    Q_BOX,
     OptimizationResult,
     optimize,
     rate_objective,
@@ -149,9 +149,10 @@ class TestOptimize:
         assert result.rate_opt == 0.0
         assert not result.positive
         assert result.status == "no positive rate"
-        # ties resolve to the lexicographically smallest box corner
-        assert result.mu_opt == MU_BOX[0]
-        assert result.q_opt == Q_BOX[0]
+        # no cell certifies anything, so there is no optimum to report
+        assert math.isnan(result.mu_opt)
+        assert math.isnan(result.q_opt)
+        assert np.all(result.trace[:, 2] == 0.0)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

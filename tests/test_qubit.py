@@ -51,6 +51,15 @@ class TestBinaryEntropy:
         expected = np.array([binary_entropy(p) for p in grid])
         assert np.allclose(binary_entropy_arr(grid), expected, atol=1e-15)
 
+    def test_vectorized_propagates_nan(self):
+        # an undefined probability must not read as a certain outcome (h = 0)
+        out = binary_entropy_arr(np.array([math.nan, 0.5]))
+        assert np.isnan(out[0]) and out[1] == 1.0
+        assert np.isnan(binary_entropy_arr(math.nan))
+        assert binary_entropy_arr(0.8).shape == ()
+        assert float(binary_entropy_arr(0.8)) == pytest.approx(0.7219280948873623, abs=1e-15)
+        assert np.array_equal(binary_entropy_arr([0.0, 1.0, -0.5, 1.5]), np.zeros(4))
+
 
 class TestShannonEntropy:
     def test_uniform(self):
