@@ -41,8 +41,9 @@ class BasisCounts:
 
     def __post_init__(self) -> None:
         for name in ("n0", "n1", "nd"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative: {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if value < 0 or not math.isfinite(value):
+                raise ValueError(f"{name} must be finite and nonnegative: {value!r}")
 
     @property
     def n(self) -> float:

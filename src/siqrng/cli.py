@@ -18,6 +18,7 @@ report the pipeline stage that rejected the input and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -126,13 +127,19 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _counts_from_inline(text: str) -> ClickRecord:
+    """Counts from a JSON object of [n0, n1, nd] triples, held to the file format's checks."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("inline counts must be a JSON object")
     counts = {}
     for name in ("x", "y", "z"):
         triple = data.get(name, data.get(name.upper()))
-        if triple is None or len(triple) != 3:
+        if not isinstance(triple, list) or len(triple) != 3:
             raise ValueError(f"inline counts need a [n0, n1, nd] triple for basis {name.upper()}")
-        counts[name] = BasisCounts(*(float(v) for v in triple))
+        try:
+            counts[name] = BasisCounts(*(float(v) for v in triple))
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ValueError(f"basis {name.upper()}: {e}") from None
     return ClickRecord(**counts)
 
 
@@ -182,8 +189,16 @@ def _add_source_args(parser) -> None:
     parser.add_argument("--p", type=float, default=0.0, help="maximally mixed component weight")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as one staged error instead of a usage block and exit."""
+
+    def error(self, message: str):
+        raise CliError("arguments", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """A fresh parser tree; `main` parses with the one `_shared_parser` keeps."""
+    parser = _ArgumentParser(
         prog="siqrng",
         description="Source-independent quantum randomness certification and extraction.",
     )
@@ -232,6 +247,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--out", help="output bits destination; omitted = ASCII to stdout")
 
     return parser
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The tree every `main` call in this process parses with, built on the first call.
+
+    Building it costs ~2 ms, several times a `rate --counts` certificate, so a
+    caller that runs `main` repeatedly in one process pays that once; a console
+    launch runs `main` once and gains nothing.  Reuse is safe: `parse_args`
+    returns a fresh namespace on each call, and the tree has no `set_defaults`
+    or custom actions that a parse could change.
+    """
+    return build_parser()
 
 
 def cmd_rate(args, out) -> int:
@@ -559,7 +587,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _expand_config_args(argv)
-        args = build_parser().parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return _COMMANDS[args.command](args, sys.stdout)
     except CliError as e:
         print(f"error[{e.stage}]: {e.message}", file=sys.stderr)

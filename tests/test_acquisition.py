@@ -60,6 +60,11 @@ class TestSquash:
         with pytest.raises(ValueError):
             BasisCounts(-1, 0, 0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_counts_rejected(self, value):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            BasisCounts(900, 50, value)
+
     @given(counts_strategy)
     def test_interval_width_is_double_fraction(self, counts):
         if counts.n == 0:

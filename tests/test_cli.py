@@ -2,13 +2,18 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from siqrng.cli import main
+import siqrng
+from siqrng.cli import CliError, _shared_parser, build_parser, main
 
 COUNTS_TEXT = "X,900,50,50\nY,450,450,100\nZ,4500,4500,1000\n"
 
@@ -154,6 +159,64 @@ class TestRate:
         assert rc == 2 and out == ""
         assert err.startswith("error[simulation]")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate", "--counts", "F", "--bogus"],
+            ["rate", "--config", "WORKERS"],
+            ["rate", "--counts", "F", "--policy", "bogus"],
+            ["rate", "--counts", "F", "--N", "abc"],
+            [],
+        ],
+        ids=["unknown-flag", "config-workers-key", "bad-policy", "bad-float", "no-subcommand"],
+    )
+    def test_argument_errors_are_one_staged_line(self, capsys, counts_file, tmp_path, argv):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"simulate": True, "N": 1e6, "q": 0.05, "mu0": 1.0, "workers": 2}))
+        argv = [{"F": str(counts_file), "WORKERS": str(config)}.get(arg, arg) for arg in argv]
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error[arguments]: ")
+        assert "usage:" not in err
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["rate", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: siqrng rate")
+
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "-50"])
+    @pytest.mark.parametrize("route", ["inline", "config"])
+    def test_bad_inline_counts_fail_while_reading(self, capsys, tmp_path, entry, route):
+        # NaN used to reach the worst-case stage as the interval [nan, nan]
+        document = '{"X":[900,50,%s],"Y":[450,450,100],"Z":[4500,4500,1000]}' % entry
+        if route == "inline":
+            argv = ["rate", "--counts-inline", document, "--N", "12000"]
+        else:
+            config = tmp_path / "run.json"
+            config.write_text('{"counts": %s}' % document)
+            argv = ["rate", "--config", str(config), "--N", "12000"]
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error[reading counts]: basis X: nd must be finite and nonnegative")
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            "[900, 50, 50]",
+            '{"X": 5, "Y": [450, 450, 100], "Z": [4500, 4500, 1000]}',
+            '{"X": [900, 50, [50]], "Y": [450, 450, 100], "Z": [4500, 4500, 1000]}',
+            '{"X": [900, 50, 1%s], "Y": [450, 450, 100], "Z": [4500, 4500, 1000]}' % ("0" * 400),
+        ],
+        ids=["not-an-object", "not-a-triple", "not-a-number", "beyond-float"],
+    )
+    def test_malformed_inline_counts_fail_while_reading(self, capsys, document):
+        # each of these used to escape main as an uncaught TypeError, AttributeError or OverflowError
+        rc, out, err = run(capsys, ["rate", "--counts-inline", document, "--N", "12000"])
+        assert rc == 2 and out == ""
+        assert err.startswith("error[reading counts]")
+
 
 NON_FINITE = st.sampled_from(["nan", "inf", "-inf"])
 SOURCE_FLAGS = {"--N": "1e8", "--q": "0.01", "--mu0": "1.4", "--eta": "0.9", "--p": "0.1", "--eps1": "1e-10"}
@@ -177,6 +240,63 @@ def test_non_finite_inputs_never_certify(command, data):
         assert float(doc["net_bits" if command != "optimize" else "rate_opt"]) <= 0.0
     else:
         assert rc == 2 and err.getvalue().startswith("error[")
+
+
+BAD_COUNT = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(max_value=-1e-9, allow_infinity=False),
+    st.integers(max_value=-1),
+)
+
+
+@given(entries=st.lists(st.integers(0, 8), min_size=1, max_size=3, unique=True), data=st.data())
+def test_bad_inline_counts_never_certify(entries, data):
+    counts = [[900, 50, 50], [450, 450, 100], [4500, 4500, 1000]]
+    for entry in entries:
+        counts[entry // 3][entry % 3] = data.draw(BAD_COUNT)
+    document = json.dumps(dict(zip("XYZ", counts)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["rate", "--counts-inline", document, "--N", "12000"])
+    assert rc == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("error[reading counts]")
+
+
+class TestParser:
+    def test_reused_parser_matches_a_fresh_one(self, capsys, counts_file, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"simulate": True, "N": 1e6, "q": 0.05, "mu0": 1.0, "policy": "assign"}))
+        sequence = [
+            ["rate", "--config", str(config)],
+            ["rate", "--simulate", "--mc", "--seed", "5", "--N", "1e6", "--q", "0.05", "--mu0", "1"],
+            ["rate", "--counts", str(counts_file), "--policy", "assign"],
+            ["rate", "--counts", str(counts_file), "--policy", "bogus"],
+            ["rate", "--counts", str(counts_file)],
+        ]
+        _shared_parser.cache_clear()
+        shared = [run(capsys, argv) for argv in sequence]
+        assert _shared_parser.cache_info().misses == 1
+        assert [rc for rc, _, _ in shared] == [0, 0, 0, 2, 0]
+        for argv, result in zip(sequence, shared):
+            _shared_parser.cache_clear()
+            assert run(capsys, argv) == result
+        assert _shared_parser() is _shared_parser()
+
+    def test_public_builder_returns_a_fresh_tree(self):
+        # a caller that edits its tree must not change what main parses with
+        mine = build_parser()
+        assert mine is not build_parser() and mine is not _shared_parser()
+        mine.add_argument("--extra")
+        assert mine.parse_args(["--extra=1", "rate", "--simulate"]).extra == "1"
+        with pytest.raises(CliError, match="unrecognized arguments: --extra=1"):
+            _shared_parser().parse_args(["--extra=1", "rate", "--simulate"])
+
+    def test_built_on_first_use_not_at_import(self):
+        src = str(Path(siqrng.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import siqrng.cli; print(siqrng.cli._shared_parser.cache_info().currsize)"
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "0"
 
 
 class TestSimulate:
