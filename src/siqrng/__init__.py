@@ -1,17 +1,18 @@
 """Source-independent certification and extraction of quantum randomness.
 
 The package turns raw detector click statistics into a certified lower
-bound on extractable random bits.  The measurement record is squashed
-into probability intervals, worst-cased over everything the source side
-could have prepared, tightened by statistical fluctuation terms, and
-converted through a coherence estimate into a finite-size min-entropy
-bound.  A Toeplitz extractor then distills the certified bits.
+bound on extractable random bits.  `certify` squashes the measurement
+record into probability intervals, worst-cases them over everything the
+source side could have prepared, tightens them by statistical fluctuation
+terms, and converts them through a coherence estimate into a finite-size
+min-entropy bound, less the cost of double clicks.  A Toeplitz extractor
+then distills the certified bits.
 
 Layout:
 
     qubit        single-qubit tomograms, entropies, coherence, witnesses
-    bounds       asymptotic rates and the finite-size min-entropy bound
-    acquisition  click records, squashing, worst-case and fluctuation steps
+    bounds       asymptotic rates, the finite-size penalty and its validity floor
+    acquisition  click records and `certify`, counts to a `Certificate`
     detector     optical threshold-detector model (closed form and Monte Carlo)
     optimizer    grid search over intensity and basis bias
     extractor    Toeplitz hashing and bit-file handling
@@ -20,29 +21,18 @@ Layout:
 
 from .acquisition import (
     BasisCounts,
+    BasisEstimate,
+    Certificate,
     ClickRecord,
     EpsilonBudget,
-    IncompatibleCountsError,
-    NoBasisDataError,
-    ProbabilityBounds,
-    assignment_prob,
-    double_click_cost_assignment,
-    double_click_cost_discard,
-    fluctuation_adjust,
-    hoeffding_theta,
+    certify,
     parse_counts,
     read_counts,
-    squash_bounds,
-    squash_interval,
-    worst_case_prob,
     write_counts,
 )
 from .bounds import (
     MIN_ENTROPY_COEFF,
-    RateReport,
-    assemble_rate_report,
     finite_size_floor,
-    min_entropy_bound,
     smoothing_log_term,
     tomo_rate_asymptotic,
     witness_rate_asymptotic,
@@ -50,11 +40,9 @@ from .bounds import (
 from .detector import (
     ClickStats,
     ExperimentConfig,
-    WorstCaseProbs,
     analytic_click_stats,
     double_click_prob,
     mc_sample,
-    simulated_worst_probs,
 )
 from .extractor import (
     ToeplitzSpec,
@@ -66,7 +54,7 @@ from .extractor import (
     unpack_bits,
     write_bits,
 )
-from .optimizer import OptimizationResult, optimize, rate_objective, rate_surface
+from .optimizer import OptimizationResult, optimize, rate_surface
 from .qubit import (
     NonphysicalStateError,
     QubitTomogram,
@@ -82,46 +70,33 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisCounts",
+    "BasisEstimate",
+    "Certificate",
     "ClickRecord",
     "ClickStats",
     "EpsilonBudget",
     "ExperimentConfig",
-    "IncompatibleCountsError",
     "MIN_ENTROPY_COEFF",
-    "NoBasisDataError",
     "NonphysicalStateError",
     "OptimizationResult",
-    "ProbabilityBounds",
     "QubitTomogram",
-    "RateReport",
     "ToeplitzSpec",
-    "WorstCaseProbs",
     "analytic_click_stats",
-    "assemble_rate_report",
-    "assignment_prob",
     "binary_entropy",
+    "certify",
     "coherence_rel_entropy",
-    "double_click_cost_assignment",
-    "double_click_cost_discard",
     "double_click_prob",
     "finite_size_floor",
-    "fluctuation_adjust",
-    "hoeffding_theta",
     "mc_sample",
-    "min_entropy_bound",
     "optimize",
     "output_length",
     "pack_bits",
     "parse_counts",
-    "rate_objective",
     "rate_surface",
     "read_bits",
     "read_counts",
     "shannon_entropy",
-    "simulated_worst_probs",
     "smoothing_log_term",
-    "squash_bounds",
-    "squash_interval",
     "toeplitz_extract",
     "toeplitz_matrix",
     "tomo_rate_asymptotic",
@@ -130,7 +105,6 @@ __all__ = [
     "witness_coherence_bound",
     "witness_rate_asymptotic",
     "witness_value",
-    "worst_case_prob",
     "write_bits",
     "write_counts",
 ]

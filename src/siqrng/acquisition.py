@@ -1,4 +1,4 @@
-"""Click-record ingestion for threshold detectors.
+"""Click records and their certification.
 
 Double clicks make the per-basis zero-outcome probability an interval rather
 than a point: squashing assigns each double click adversarially, so
@@ -8,27 +8,27 @@ than a point: squashing assigns each double click adversarially, so
 The certified worst case is the point of the interval closest to 1/2 (bit
 labels are flipped first whenever the whole interval sits below 1/2), then
 a Hoeffding fluctuation term is subtracted and the result floored at 1/2.
-Z-basis double clicks are paid for either by discarding them or by random
-assignment at a rate chosen to reproduce the worst-case probability.
+The coherence of the resulting tomogram gives the finite-size min-entropy
+bound, and Z-basis double clicks are paid for either by discarding them or
+by random assignment at a rate chosen to reproduce the worst-case
+probability.  `certify` runs that whole chain, on one run's counts or on
+arrays of counts.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
-from .qubit import binary_entropy
+import numpy as np
 
-ASSIGNMENT_TOL = 1e-12
+from .bounds import MIN_ENTROPY_COEFF, finite_size_floor, smoothing_log_term
+from .qubit import PHYSICALITY_TOL, binary_entropy, binary_entropy_arr
 
-
-class NoBasisDataError(ValueError):
-    """A basis has no clicks, so no probability interval can be formed."""
-
-
-class IncompatibleCountsError(ValueError):
-    """Counts cannot be reconciled with the requested worst-case probability."""
+POLICIES = ("discard", "assign")
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,9 @@ class BasisCounts:
     def n(self) -> float:
         return self.n0 + self.n1 + self.nd
 
+    def __iter__(self):
+        return iter((self.n0, self.n1, self.nd))
+
     def flipped(self) -> "BasisCounts":
         """Counts after relabeling the two outcomes."""
         return BasisCounts(n0=self.n1, n1=self.n0, nd=self.nd)
@@ -65,115 +68,6 @@ class ClickRecord:
             return getattr(self, name.lower())
         except AttributeError:
             raise ValueError(f"unknown basis {name!r}") from None
-
-
-@dataclass(frozen=True)
-class BasisBounds:
-    lower: float
-    upper: float
-
-
-@dataclass(frozen=True)
-class ProbabilityBounds:
-    x: BasisBounds
-    y: BasisBounds
-    z: BasisBounds
-
-    def basis(self, name: str) -> BasisBounds:
-        try:
-            return getattr(self, name.lower())
-        except AttributeError:
-            raise ValueError(f"unknown basis {name!r}") from None
-
-
-def squash_interval(counts: BasisCounts, name: str = "") -> BasisBounds:
-    n = counts.n
-    if n <= 0:
-        raise NoBasisDataError(f"no clicks in basis {name or '?'}")
-    return BasisBounds(lower=counts.n0 / n, upper=(counts.n0 + counts.nd) / n)
-
-
-def squash_bounds(record: ClickRecord) -> ProbabilityBounds:
-    """Per-basis probability intervals from adversarial double-click assignment."""
-    return ProbabilityBounds(
-        x=squash_interval(record.x, "x"),
-        y=squash_interval(record.y, "y"),
-        z=squash_interval(record.z, "z"),
-    )
-
-
-def worst_case_interval(lower: float, upper: float) -> tuple[float, bool]:
-    """Worst-case probability of one interval, with the flip flag.
-
-    Returns (p_w, flipped) where p_w = max(lower', 1/2) on the label-flipped
-    interval when the original one lies entirely below 1/2.  The worst case
-    is the point closest to 1/2 because the certified rate is unimodal with
-    its minimum there.
-    """
-    if not 0.0 <= lower <= upper <= 1.0:
-        raise ValueError(f"invalid probability interval [{lower!r}, {upper!r}]")
-    flipped = upper < 0.5
-    if flipped:
-        lower, upper = 1.0 - upper, 1.0 - lower
-    return max(lower, 0.5), flipped
-
-
-def worst_case_prob(bounds: ProbabilityBounds, basis: str) -> tuple[float, bool]:
-    interval = bounds.basis(basis)
-    return worst_case_interval(interval.lower, interval.upper)
-
-
-def hoeffding_theta(n: float, epsilon: float) -> float:
-    """Fluctuation half-width theta with e^(-2 theta^2 n) = epsilon."""
-    if n <= 0:
-        raise ValueError(f"sample size must be positive: {n!r}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie strictly in (0, 1): {epsilon!r}")
-    return math.sqrt(math.log(1.0 / epsilon) / (2.0 * n))
-
-
-def fluctuation_adjust(p_w: float, theta: float) -> float:
-    """Shift the worst case toward 1/2 by theta, floored at 1/2."""
-    if not 0.5 <= p_w <= 1.0:
-        raise ValueError(f"worst-case probability outside [1/2, 1]: {p_w!r}")
-    if theta < 0.0:
-        raise ValueError(f"theta must be nonnegative: {theta!r}")
-    return max(p_w - theta, 0.5)
-
-
-def assignment_prob(p_w_z: float, counts_z: BasisCounts) -> float:
-    """Assignment rate p_a that makes assigned Z data match the worst case.
-
-    Each Z double click is assigned outcome 0 with probability
-    p_a = (p_w_z * n_z - n0_z) / nd_z.  Counts incompatible with p_a in
-    [0, 1] cannot be postprocessed this way (fall back to discarding).
-    """
-    n = counts_z.n
-    if n <= 0:
-        raise NoBasisDataError("no clicks in basis z")
-    if counts_z.nd == 0:
-        if abs(p_w_z * n - counts_z.n0) <= ASSIGNMENT_TOL * max(n, 1.0):
-            return 0.0
-        raise IncompatibleCountsError(
-            f"no double clicks, but p_w_z = {p_w_z!r} differs from n0/n = {counts_z.n0 / n!r}"
-        )
-    p_a = (p_w_z * n - counts_z.n0) / counts_z.nd
-    if p_a < -ASSIGNMENT_TOL or p_a > 1.0 + ASSIGNMENT_TOL:
-        raise IncompatibleCountsError(
-            f"assignment probability {p_a!r} outside [0, 1]: worst case {p_w_z!r} "
-            f"is not reachable from counts {counts_z}"
-        )
-    return min(max(p_a, 0.0), 1.0)
-
-
-def double_click_cost_assignment(counts_z: BasisCounts, p_a: float) -> float:
-    """Entropy paid for keeping assigned double clicks: nd_z * h(p_a)."""
-    return counts_z.nd * binary_entropy(p_a)
-
-
-def double_click_cost_discard(counts_z: BasisCounts) -> tuple[float, float]:
-    """Bits paid for discarding double clicks, and the surviving raw-bit count."""
-    return counts_z.nd, counts_z.n - counts_z.nd
 
 
 @dataclass(frozen=True)
@@ -212,6 +106,193 @@ def total_epsilon(budget: EpsilonBudget) -> float:
     if total >= 1.0:
         raise ValueError(f"epsilon budget sums to {total!r} >= 1")
     return total
+
+
+# --- certification: one body, run on floats (math) or on arrays (numpy) ---
+
+
+# Cell outcomes, in the order they are tested: a basis without clicks, a
+# tomogram outside the Bloch ball (NaN included), a Z sample below the
+# finite-size floor, then whether the net bits come out positive.
+STATUSES = ("no_clicks", "nonphysical", "below_floor", "no_positive_rate", "ok")
+
+
+def _maximum(a, b):
+    return a if a >= b or a != a else b  # NaN wins, as in np.maximum
+
+
+def _minimum(a, b):
+    return a if a <= b or a != a else b
+
+
+def _max(a, b):
+    """The maximum of either backend, for the values a BasisEstimate derives on access."""
+    return np.maximum(a, b) if isinstance(a, np.ndarray) else _maximum(a, b)
+
+
+# The math backend guards what numpy evaluates under errstate: a zero divisor
+# or a negative square root gives NaN, and the entropy passes NaN through
+# (finite values outside (0, 1) give 0), as binary_entropy_arr does.
+_MATH_OPS = SimpleNamespace(
+    quiet=contextlib.nullcontext,
+    valid=lambda n0, n1, nd, n: n0 >= 0 and n1 >= 0 and nd >= 0 and n < math.inf,
+    where=lambda cond, a, b: a if cond else b,
+    div=lambda a, b: a / b if b else math.nan,
+    sqrt=lambda a: math.sqrt(a) if a >= 0.0 else math.nan,
+    maximum=_maximum,
+    minimum=_minimum,
+    entropy=lambda p: p if p != p else binary_entropy(_minimum(_maximum(p, 0.0), 1.0)),
+)
+
+_NUMPY_OPS = SimpleNamespace(
+    quiet=lambda: np.errstate(all="ignore"),
+    # NaN in an array makes its min and max NaN, which fails the comparison
+    valid=lambda n0, n1, nd, n: n0.min() >= 0 and n1.min() >= 0 and nd.min() >= 0 and n.max() < math.inf,
+    where=np.where,
+    div=np.divide,
+    sqrt=np.sqrt,
+    maximum=np.maximum,
+    minimum=np.minimum,
+    entropy=binary_entropy_arr,
+)
+
+
+@dataclass(frozen=True)
+class BasisEstimate:
+    """One basis of a certificate, from squashed interval to adjusted probability.
+
+    The derived values are computed on access, so that a grid keeps three
+    arrays per basis rather than six.
+    """
+
+    lower: float  # NaN when the basis has no clicks
+    upper: float
+    theta: float
+
+    @property
+    def flipped(self) -> bool:
+        """The interval lies below 1/2, so the labels were swapped."""
+        return self.upper < 0.5
+
+    @property
+    def worst(self) -> float:
+        """The interval point closest to 1/2, after relabeling."""
+        return _max(_max(self.lower, 1.0 - self.upper), 0.5)
+
+    @property
+    def adjusted(self) -> float:
+        """worst - theta, floored at 1/2."""
+        return _max(self.worst - self.theta, 0.5)
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Every value of one certification; arrays of cells when the counts are arrays.
+
+    net_bits = entropy_bound - finite_size_penalty - double_click_cost where
+    status is 'ok' and 0 in every other cell, and rate_per_pulse =
+    net_bits / n_pulses.  assignment_prob is set under the 'assign' policy
+    and surviving_raw_bits under 'discard'.
+    """
+
+    x: BasisEstimate
+    y: BasisEstimate
+    z: BasisEstimate
+    radius: float  # Bloch vector length of the adjusted tomogram, unclamped
+    coherence: float
+    n_z: float
+    finite_size_penalty: float
+    double_click_cost: float
+    net_bits: float
+    rate_per_pulse: float
+    physical: bool  # radius within the Bloch ball (tolerance PHYSICALITY_TOL)
+    above_floor: bool  # n_z at or above the finite-size floor
+    assignment_prob: float | None = None
+    surviving_raw_bits: float | None = None
+
+    @property
+    def entropy_bound(self) -> float:
+        return self.n_z * self.coherence
+
+    @property
+    def status(self) -> str:
+        """'ok', or the first check the cell failed, named as in STATUSES."""
+        lowers = self.x.lower + self.y.lower + self.z.lower
+        clicks = lowers == lowers  # an empty basis has a NaN interval
+        positive = self.net_bits > 0.0
+        passed = clicks * (1 + self.physical * (1 + self.above_floor * (1 + positive)))
+        return np.take(STATUSES, passed) if isinstance(passed, np.ndarray) else STATUSES[passed]
+
+
+def certify(x, y, z, n_pulses: float, budget: EpsilonBudget, policy: str = "discard") -> Certificate:
+    """Certified net bits from the (n0, n1, nd) click counts of bases X, Y and Z.
+
+    Each count is a number or an array, all of one broadcastable shape; with
+    arrays every field of the certificate is an array of cells.  Counts must
+    be finite and nonnegative and n_pulses finite and positive, or
+    ValueError is raised.  Cells that cannot be certified are not errors:
+    their status says why, and they certify 0.
+    """
+    if policy not in POLICIES:
+        raise ValueError(f"policy must be one of {POLICIES}: {policy!r}")
+    if not (math.isfinite(n_pulses) and n_pulses > 0):
+        raise ValueError(f"n_pulses must be finite and positive: {n_pulses!r}")
+    counts = (tuple(x), tuple(y), tuple(z))
+    if all(isinstance(c, (int, float)) for triple in counts for c in triple):
+        ops = _MATH_OPS
+    else:
+        ops = _NUMPY_OPS
+        counts = tuple(tuple(np.asarray(c, dtype=float) for c in triple) for triple in counts)
+    with ops.quiet():
+        bases = []
+        for name, (n0, n1, nd) in zip("xyz", counts):
+            n = n0 + n1 + nd
+            if not ops.valid(n0, n1, nd, n):
+                raise ValueError(f"basis {name.upper()}: counts must be finite and nonnegative")
+            eps = budget.for_basis(name)
+            theta = ops.sqrt(ops.div(math.log(1.0 / eps) / 2.0, n))  # Hoeffding: exp(-2 theta^2 n) = eps
+            bases.append(BasisEstimate(ops.div(n0, n), ops.div(n0 + nd, n), theta))
+        n_z = n  # Z is the last basis of the loop
+        p_x, p_y, p_z = (b.adjusted for b in bases)
+
+        radius = ops.sqrt(ops.maximum(4.0 * (p_x**2 + p_y**2 + p_z**2 - p_x - p_y - p_z) + 3.0, 0.0))
+        # h(p_z) less the entropy of the state, its radius clamped to the ball
+        state_entropy = ops.entropy((1.0 + ops.minimum(radius, 1.0)) / 2.0)
+        coherence = ops.maximum(ops.entropy(p_z) - state_entropy, 0.0)
+        del state_entropy  # on grids, each spent array is freed at once
+
+        n0_z, n1_z, nd_z = counts[2]
+        if policy == "assign":
+            # assign each Z double click 0 with the rate that reproduces the worst case
+            n0_kept = ops.where(bases[2].flipped, n1_z, n0_z)
+            p_assign = ops.div(bases[2].worst * n_z - n0_kept, nd_z)
+            p_assign = ops.where(nd_z > 0, ops.minimum(ops.maximum(p_assign, 0.0), 1.0), 0.0)
+            cost = nd_z * ops.entropy(p_assign)
+            paid = {"assignment_prob": p_assign}
+        else:
+            cost = nd_z
+            paid = {"surviving_raw_bits": n_z - nd_z}
+
+        penalty = MIN_ENTROPY_COEFF * ops.sqrt(n_z * smoothing_log_term(budget.eps1))
+        net_bits = n_z * coherence - penalty - cost  # entropy bound less the penalty and the cost
+
+        # a basis without clicks has a NaN interval, so its tomogram is not physical
+        physical = radius <= 1.0 + PHYSICALITY_TOL
+        above_floor = n_z >= finite_size_floor(budget.eps1)
+        net_bits = ops.where(physical & above_floor & (net_bits > 0.0), net_bits, 0.0)
+    return Certificate(
+        *bases,
+        radius=radius,
+        coherence=coherence,
+        n_z=n_z,
+        finite_size_penalty=penalty,
+        double_click_cost=cost,
+        net_bits=net_bits,
+        rate_per_pulse=net_bits / n_pulses,
+        physical=physical,
+        above_floor=above_floor,
+        **paid,
+    )
 
 
 # --- text format: one line per basis, "basis,n0,n1,nd" ---

@@ -1,11 +1,11 @@
-"""Finite-size randomness bounds and net-rate assembly.
+"""Finite-size and asymptotic randomness bounds.
 
 The certified output length against a quantum side channel is
 
     R >= n_z * C - k * sqrt(n_z * log2(2 / eps1^2))       k = 4 log2(2 + sqrt(2))
 
-valid once n_z clears a floor that grows only logarithmically in 1/eps1.
-The penalty constant k is kept in exact form; its two-decimal rounding 7.09
+valid once n_z clears a floor that grows only logarithmically in 1/eps1
+(`acquisition.certify` evaluates the bound).  The penalty constant k is kept in exact form; its two-decimal rounding 7.09
 is also exported for reporting because the rounding direction matters when
 the constant multiplies a subtracted security term.
 """
@@ -13,7 +13,6 @@ the constant multiplies a subtracted security term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .qubit import QubitTomogram, binary_entropy, coherence_rel_entropy
 
@@ -42,23 +41,6 @@ def finite_size_floor(epsilon1: float) -> int:
     return math.ceil(1.6 * smoothing_log_term(epsilon1))
 
 
-def min_entropy_bound(n_z: float, coherence: float, epsilon1: float) -> float:
-    """Certified extractable bits from n_z raw bits with coherence rate C.
-
-    Raises when n_z is below the validity floor: the bound is then invalid,
-    not merely loose.
-    """
-    if not 0.0 <= coherence <= 1.0:
-        raise ValueError(f"coherence outside [0, 1]: {coherence!r}")
-    floor = finite_size_floor(epsilon1)
-    if n_z < floor:
-        raise ValueError(
-            f"finite-size bound invalid: n_z = {n_z!r} is below the floor {floor} "
-            f"for epsilon1 = {epsilon1!r}"
-        )
-    return n_z * coherence - MIN_ENTROPY_COEFF * math.sqrt(n_z * smoothing_log_term(epsilon1))
-
-
 def _check_fraction(value: float, name: str) -> None:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} outside [0, 1]: {value!r}")
@@ -80,48 +62,3 @@ def tomo_rate_asymptotic(tomogram: QubitTomogram, q_z: float = 1.0, beta: float 
     _check_fraction(q_z, "q_z")
     _check_fraction(beta, "beta")
     return q_z * beta * coherence_rel_entropy(tomogram)
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Accounting of one certified-rate evaluation.
-
-    net_bits = max(0, entropy_bound - finite_size_penalty - double_click_cost)
-    and rate_per_pulse = net_bits / n_pulses for the generating configuration.
-    """
-
-    n_z: float
-    entropy_bound: float
-    finite_size_penalty: float
-    double_click_cost: float
-    net_bits: float
-    rate_per_pulse: float
-
-    @property
-    def positive(self) -> bool:
-        return self.net_bits > 0.0
-
-
-def assemble_rate_report(
-    n_z: float,
-    coherence: float,
-    epsilon1: float,
-    double_click_cost: float,
-    n_pulses: float,
-) -> RateReport:
-    """Combine the entropy bound, finite-size penalty and double-click cost."""
-    if n_pulses <= 0:
-        raise ValueError(f"n_pulses must be positive: {n_pulses!r}")
-    if double_click_cost < 0:
-        raise ValueError(f"double-click cost must be nonnegative: {double_click_cost!r}")
-    bound = min_entropy_bound(n_z, coherence, epsilon1)
-    penalty = MIN_ENTROPY_COEFF * math.sqrt(n_z * smoothing_log_term(epsilon1))
-    net = max(0.0, bound - double_click_cost)
-    return RateReport(
-        n_z=n_z,
-        entropy_bound=n_z * coherence,
-        finite_size_penalty=penalty,
-        double_click_cost=double_click_cost,
-        net_bits=net,
-        rate_per_pulse=net / n_pulses,
-    )

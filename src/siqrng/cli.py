@@ -30,22 +30,14 @@ from .acquisition import (
     BasisCounts,
     ClickRecord,
     EpsilonBudget,
-    assignment_prob,
-    double_click_cost_assignment,
-    double_click_cost_discard,
-    fluctuation_adjust,
-    hoeffding_theta,
-    parse_counts,
+    certify,
     read_counts,
-    squash_bounds,
     total_epsilon,
-    worst_case_prob,
     write_counts,
 )
 from .bounds import (
     MIN_ENTROPY_COEFF,
     MIN_ENTROPY_COEFF_2DP,
-    assemble_rate_report,
     finite_size_floor,
     tomo_rate_asymptotic,
     witness_rate_asymptotic,
@@ -53,7 +45,7 @@ from .bounds import (
 from .detector import ClickStats, ExperimentConfig, analytic_click_stats, mc_sample
 from .extractor import ToeplitzSpec, format_bit_string, output_length, read_bits, toeplitz_extract, write_bits
 from .optimizer import DEFAULT_MU_GRID, DEFAULT_Q_GRID, optimize
-from .qubit import QubitTomogram, coherence_rel_entropy
+from .qubit import QubitTomogram
 
 FLOOR_NOTE = (
     "validity floor is ceil((8/5)*log2(2/eps1^2)), e.g. 108 at eps1 = 1e-10; "
@@ -294,61 +286,51 @@ def cmd_rate(args, out) -> int:
         config_echo += _echo_budget(budget)
         config_echo.append(("config.policy", args.policy))
 
-        stage = "squashing"
-        bounds = squash_bounds(record)
-        stage = "worst case"
-        adjusted = {}
-        detail: list[tuple[str, object]] = []
-        flips = {}
-        worst = {}
-        for name in ("x", "y", "z"):
-            counts = record.basis(name)
-            interval = bounds.basis(name)
-            p_w, flipped = worst_case_prob(bounds, name)
-            theta = hoeffding_theta(counts.n, budget.for_basis(name))
-            adjusted[name] = fluctuation_adjust(p_w, theta)
-            worst[name] = p_w
-            flips[name] = flipped
-            detail += [
-                (f"bounds.{name}.lower", interval.lower),
-                (f"bounds.{name}.upper", interval.upper),
-                (f"worst.{name}", p_w),
-                (f"flipped.{name}", flipped),
-                (f"theta.{name}", theta),
-                (f"adjusted.{name}", adjusted[name]),
+        stage = "certification"
+        cert = certify(record.x, record.y, record.z, n_pulses, budget, args.policy)
+        floor = finite_size_floor(budget.eps1)
+        status = cert.status
+        if status == "no_clicks":
+            empty = next(name for name in "xyz" if not record.basis(name).n > 0)
+            raise CliError("squashing", f"no clicks in basis {empty}")
+        if status == "nonphysical":
+            tomogram = QubitTomogram(cert.x.adjusted, cert.y.adjusted, cert.z.adjusted)
+            raise CliError(
+                "coherence",
+                f"Bloch vector length {cert.radius:.12g} exceeds 1: tomogram {tomogram} "
+                "does not describe a qubit state",
+            )
+        if status == "below_floor":
+            raise CliError(
+                "rate assembly",
+                f"finite-size bound invalid: n_z = {cert.n_z!r} is below the floor {floor} "
+                f"for epsilon1 = {budget.eps1!r}",
+            )
+        doc.append(("status", status.replace("_", " ")))
+        doc += config_echo
+        for name, basis in zip("xyz", (cert.x, cert.y, cert.z)):
+            doc += [
+                (f"bounds.{name}.lower", basis.lower),
+                (f"bounds.{name}.upper", basis.upper),
+                (f"worst.{name}", basis.worst),
+                (f"flipped.{name}", basis.flipped),
+                (f"theta.{name}", basis.theta),
+                (f"adjusted.{name}", basis.adjusted),
             ]
-        stage = "coherence"
-        tomogram = QubitTomogram(p_x=adjusted["x"], p_y=adjusted["y"], p_z=adjusted["z"])
-        coherence = coherence_rel_entropy(tomogram)
-        stage = "double-click policy"
-        counts_z = record.z.flipped() if flips["z"] else record.z
         if args.policy == "assign":
-            p_assign = assignment_prob(worst["z"], counts_z)
-            cost = double_click_cost_assignment(counts_z, p_assign)
-            detail.append(("assignment_prob", p_assign))
+            doc.append(("assignment_prob", cert.assignment_prob))
         else:
-            cost, surviving = double_click_cost_discard(counts_z)
-            detail.append(("surviving_raw_bits", surviving))
-        stage = "rate assembly"
-        report = assemble_rate_report(
-            n_z=record.z.n,
-            coherence=coherence,
-            epsilon1=budget.eps1,
-            double_click_cost=cost,
-            n_pulses=n_pulses,
-        )
-        doc.append(("status", "ok" if report.positive else "no positive rate"))
-        doc += config_echo + detail
+            doc.append(("surviving_raw_bits", cert.surviving_raw_bits))
         doc += [
-            ("coherence", coherence),
-            ("n_z", report.n_z),
-            ("entropy_bound", report.entropy_bound),
-            ("finite_size_penalty", report.finite_size_penalty),
-            ("double_click_cost", report.double_click_cost),
-            ("net_bits", report.net_bits),
-            ("rate_per_pulse", report.rate_per_pulse),
+            ("coherence", cert.coherence),
+            ("n_z", cert.n_z),
+            ("entropy_bound", cert.entropy_bound),
+            ("finite_size_penalty", cert.finite_size_penalty),
+            ("double_click_cost", cert.double_click_cost),
+            ("net_bits", cert.net_bits),
+            ("rate_per_pulse", cert.rate_per_pulse),
             ("total_epsilon", total_epsilon(budget)),
-            ("finite_size_floor", finite_size_floor(budget.eps1)),
+            ("finite_size_floor", floor),
             ("note.finite_size_floor", FLOOR_NOTE),
             ("penalty_coeff", MIN_ENTROPY_COEFF),
             ("penalty_coeff_2dp", MIN_ENTROPY_COEFF_2DP),
@@ -365,19 +347,7 @@ def cmd_rate(args, out) -> int:
                 "net_bits",
                 "rate_per_pulse",
             ]
-            _write_csv(
-                args.out,
-                header,
-                [[
-                    report.n_z,
-                    coherence,
-                    report.entropy_bound,
-                    report.finite_size_penalty,
-                    report.double_click_cost,
-                    report.net_bits,
-                    report.rate_per_pulse,
-                ]],
-            )
+            _write_csv(args.out, header, [[getattr(cert, key) for key in header]])
         return 0
     except (ValueError, OSError) as e:
         raise CliError(stage, str(e)) from e
@@ -472,11 +442,7 @@ def cmd_simulate(args, out) -> int:
         if args.out:
             record = stats.record()
             if not args.mc:
-                record = ClickRecord(
-                    x=BasisCounts(*(round(v) for v in (record.x.n0, record.x.n1, record.x.nd))),
-                    y=BasisCounts(*(round(v) for v in (record.y.n0, record.y.n1, record.y.nd))),
-                    z=BasisCounts(*(round(v) for v in (record.z.n0, record.z.n1, record.z.nd))),
-                )
+                record = ClickRecord(*(BasisCounts(*map(round, c)) for c in (record.x, record.y, record.z)))
             write_counts(args.out, record)
         return 0
     except (ValueError, OSError) as e:

@@ -29,15 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acquisition import (
-    BasisCounts,
-    ClickRecord,
-    EpsilonBudget,
-    fluctuation_adjust,
-    hoeffding_theta,
-    squash_bounds,
-    worst_case_prob,
-)
+from .acquisition import BasisCounts, ClickRecord
 
 # Poisson mass beyond the largest sampled photon number (lumped into it).
 PHOTON_TAIL = 1e-15
@@ -94,22 +86,33 @@ class ClickStats:
             raise ValueError(f"unknown basis {name!r}") from None
 
 
-def analytic_click_stats(config: ExperimentConfig) -> ClickStats:
-    """Expected click counts of the model, as real numbers."""
-    n, q, p = config.n_pulses, config.q, config.p_mix
-    e_full = math.exp(-config.mu)
-    e_half = math.exp(-config.mu / 2.0)
+def expected_counts(n_pulses, q, mu, p_mix, exp=math.exp):
+    """Closed-form expected (n0, n1, nd) of bases X, Y and Z.
+
+    mu is the detected intensity.  With exp=np.exp the arguments may be
+    arrays, and so are the counts.
+    """
+    p = p_mix
+    e_full = exp(-mu)
+    e_half = exp(-mu / 2.0)
     singles = e_half - e_full
     doubles = 1.0 + e_full - 2.0 * e_half
-    x = BasisCounts(
-        n0=n * q * (1.0 - p - e_full + p * e_half),
-        n1=n * q * p * singles,
-        nd=n * q * p * doubles,
+    n_xy = n_pulses * q
+    n_z = n_pulses * (1.0 - 2.0 * q)
+    n_mixed = n_xy * p
+    half_xy, half_z = n_xy * singles, n_z * singles
+    return (
+        (n_xy * (1.0 - p - e_full + p * e_half), n_mixed * singles, n_mixed * doubles),
+        (half_xy, half_xy, n_xy * doubles),
+        (half_z, half_z, n_z * doubles),
     )
-    y = BasisCounts(n0=n * q * singles, n1=n * q * singles, nd=n * q * doubles)
-    w = n * (1.0 - 2.0 * q)
-    z = BasisCounts(n0=w * singles, n1=w * singles, nd=w * doubles)
-    return ClickStats(x=x, y=y, z=z, pulses_x=n * q, pulses_y=n * q, pulses_z=w)
+
+
+def analytic_click_stats(config: ExperimentConfig) -> ClickStats:
+    """Expected click counts of the model, as real numbers."""
+    n, q = config.n_pulses, config.q
+    x, y, z = (BasisCounts(*c) for c in expected_counts(n, q, config.mu, config.p_mix))
+    return ClickStats(x=x, y=y, z=z, pulses_x=n * q, pulses_y=n * q, pulses_z=n * (1.0 - 2.0 * q))
 
 
 def _outcome_probs(m: np.ndarray, eta: float, to_zero: float = 0.5) -> np.ndarray:
@@ -192,61 +195,3 @@ def mc_sample(config: ExperimentConfig, seed: int) -> ClickStats:
     outcomes = rng.multinomial(photons, table).sum(axis=1)
     x, y, z = (BasisCounts(*(int(v) for v in row[:3])) for row in (outcomes[0] + outcomes[1], *outcomes[2:]))
     return ClickStats(x, y, z, int(n_x), int(n_y), int(n_z))
-
-
-@dataclass(frozen=True)
-class WorstCaseProbs:
-    """Certified worst-case probabilities for the analytic model.
-
-    p_x, p_y, p_z are the values entering the coherence evaluation: interval
-    worst case, fluctuation-adjusted, floored at 1/2 (the Y and Z intervals
-    of this source are symmetric about 1/2, so their certified worst case is
-    exactly 1/2).  raw_* keep the unfloored lower-bound-minus-theta values
-    for diagnostics; raw values below 1/2 correspond to the flipped labeling
-    1 - raw of the same statistics.
-    """
-
-    p_x: float
-    p_y: float
-    p_z: float
-    raw_x: float
-    raw_y: float
-    raw_z: float
-    theta_x: float
-    theta_y: float
-    theta_z: float
-    stats: ClickStats
-
-
-def simulated_worst_probs(
-    config: ExperimentConfig, budget: EpsilonBudget | None = None
-) -> WorstCaseProbs:
-    """Worst-case probabilities from the analytic expected counts.
-
-    With budget=None the fluctuation terms are zero (infinite-data limit),
-    which is useful for inspecting the bare interval worst case.
-    """
-    stats = analytic_click_stats(config)
-    bounds = squash_bounds(stats.record())
-    certified: dict[str, float] = {}
-    raw: dict[str, float] = {}
-    thetas: dict[str, float] = {}
-    for name in ("x", "y", "z"):
-        counts = stats.basis(name)
-        theta = 0.0 if budget is None else hoeffding_theta(counts.n, budget.for_basis(name))
-        p_w, _ = worst_case_prob(bounds, name)
-        certified[name] = fluctuation_adjust(p_w, theta)
-        raw[name] = bounds.basis(name).lower - theta
-        thetas[name] = theta
-    return WorstCaseProbs(
-        p_x=certified["x"],
-        p_y=certified["y"],
-        p_z=certified["z"],
-        raw_x=raw["x"],
-        raw_y=raw["y"],
-        raw_z=raw["z"],
-        theta_x=thetas["x"],
-        theta_y=thetas["y"],
-        theta_z=thetas["z"],
-        stats=stats,
-    )

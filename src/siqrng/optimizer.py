@@ -1,9 +1,8 @@
 """Protocol parameter optimization over source intensity and basis bias.
 
-The objective is the certified net rate of the analytic detector model:
-worst-case probabilities from the squashed click intervals, coherence of the
-resulting tomogram, finite-size min-entropy bound, minus the double-click
-cost of the chosen policy, per pulse.  The rate surface is smooth and
+The objective is the certified net rate per pulse of the analytic detector
+model: its expected click counts, certified by `acquisition.certify` under
+the chosen double-click policy.  The rate surface is smooth and
 unimodal along mu, so a deterministic coarse grid plus local refinement is
 both reproducible and fast; no stochastic search is involved.
 """
@@ -15,24 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acquisition import EpsilonBudget
-from .bounds import MIN_ENTROPY_COEFF, finite_size_floor, smoothing_log_term
-from .detector import ExperimentConfig
-from .qubit import binary_entropy_arr
+from .acquisition import EpsilonBudget, certify
+from .detector import expected_counts
 
 MU_BOX = (1e-4, 5.0)
 Q_BOX = (1e-4, 0.4999)
-POLICIES = ("discard", "assign")
 
 DEFAULT_MU_GRID = np.round(np.arange(1, 101) * 0.05, 10)
 DEFAULT_Q_GRID = np.round(np.arange(1, 100) * 0.005, 10)
 
 REFINE_POINTS = 21
-
-
-def _check_policy(policy: str) -> None:
-    if policy not in POLICIES:
-        raise ValueError(f"policy must be one of {POLICIES}: {policy!r}")
 
 
 def rate_surface(
@@ -45,14 +36,13 @@ def rate_surface(
 ) -> np.ndarray:
     """Certified net bits per pulse on the (mu, q) grid, shape (len(mus), len(qs)).
 
-    Vectorized stage-for-stage equivalent of the scalar pipeline: analytic
-    counts -> squashed intervals -> worst case -> fluctuation floor ->
-    coherence -> min-entropy bound -> double-click cost.  Grid points whose
-    Z sample is below the finite-size floor certify nothing and score 0.
-    A non-finite or nonpositive n_pulses, or p_mix outside [0, 1] (NaN
-    included), raises ValueError rather than scoring the grid.
+    The analytic model's expected counts of every grid point, certified in
+    one `certify` call.  A cell whose status is not 'ok' scores 0: its Z
+    sample is below the finite-size floor, its tomogram is nonphysical, or
+    it certifies nothing.  A non-finite or nonpositive n_pulses, p_mix
+    outside [0, 1] (NaN included), or an unknown policy raises ValueError
+    rather than scoring the grid.
     """
-    _check_policy(policy)
     if not (math.isfinite(n_pulses) and n_pulses > 0.0):
         raise ValueError(f"n_pulses must be finite and positive: {n_pulses!r}")
     if not 0.0 <= p_mix <= 1.0:
@@ -65,57 +55,9 @@ def rate_surface(
         raise ValueError("mu grid must lie in (0, 5]")
     if np.any(qs <= 0.0) or np.any(qs >= 0.5):
         raise ValueError("q grid must lie in (0, 0.5)")
-
-    mu, q = np.meshgrid(mus, qs, indexing="ij")
-    e_full = np.exp(-mu)
-    e_half = np.exp(-mu / 2.0)
-    clicks = 1.0 - e_full
-    singles = e_half - e_full
-    doubles = 1.0 + e_full - 2.0 * e_half
-
-    n_x = n_pulses * q * clicks
-    n_z = n_pulses * (1.0 - 2.0 * q) * clicks
-    n0_z = n_pulses * (1.0 - 2.0 * q) * singles
-    nd_z = n_pulses * (1.0 - 2.0 * q) * doubles
-
-    with np.errstate(all="ignore"):
-        lower_x = (1.0 - p_mix - e_full + p_mix * e_half) / clicks
-        lower_yz = singles / clicks
-        theta_x = np.sqrt(np.log(1.0 / budget.eps_x) / (2.0 * n_x))
-        theta_y = np.sqrt(np.log(1.0 / budget.eps_y) / (2.0 * n_pulses * q * clicks))
-        theta_z = np.sqrt(np.log(1.0 / budget.eps_z) / (2.0 * n_z))
-        p_x = np.maximum(np.maximum(lower_x, 0.5) - theta_x, 0.5)
-        p_y = np.maximum(np.maximum(lower_yz, 0.5) - theta_y, 0.5)
-        p_z = np.maximum(np.maximum(lower_yz, 0.5) - theta_z, 0.5)
-
-        radius = np.sqrt(
-            np.clip(4.0 * (p_x**2 + p_y**2 + p_z**2 - p_x - p_y - p_z) + 3.0, 0.0, 1.0)
-        )
-        coherence = binary_entropy_arr(p_z) - binary_entropy_arr((1.0 + radius) / 2.0)
-        coherence = np.maximum(coherence, 0.0)
-
-        bound = n_z * coherence - MIN_ENTROPY_COEFF * np.sqrt(
-            n_z * smoothing_log_term(budget.eps1)
-        )
-        if policy == "discard":
-            cost = nd_z
-        else:
-            p_w_z = np.maximum(lower_yz, 0.5)
-            p_assign = np.where(nd_z > 0.0, (p_w_z * n_z - n0_z) / np.where(nd_z > 0.0, nd_z, 1.0), 0.0)
-            cost = nd_z * binary_entropy_arr(np.clip(p_assign, 0.0, 1.0))
-        net = bound - cost
-
-    valid = (n_x > 0.0) & (n_z >= finite_size_floor(budget.eps1)) & np.isfinite(net)
-    net = np.where(valid, net, 0.0)
-    return np.maximum(net, 0.0) / n_pulses
-
-
-def rate_objective(config: ExperimentConfig, budget: EpsilonBudget, policy: str = "discard") -> float:
-    """Certified net bits per pulse for one configuration (0 when nothing is certified)."""
-    surface = rate_surface(
-        config.n_pulses, config.p_mix, np.array([config.mu]), np.array([config.q]), budget, policy
-    )
-    return float(surface[0, 0])
+    # mu down the rows and q along the columns: only the counts are full grids
+    x, y, z = expected_counts(n_pulses, qs[None, :], mus[:, None], p_mix, np.exp)
+    return certify(x, y, z, n_pulses, budget, policy).rate_per_pulse
 
 
 @dataclass(frozen=True, eq=False)

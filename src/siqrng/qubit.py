@@ -51,9 +51,10 @@ def binary_entropy_arr(p: np.ndarray) -> np.ndarray:
     probability cannot pass for a certain outcome.
     """
     p = np.asarray(p, dtype=float)
+    q = 1.0 - p
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
-    return np.where((p <= 0.0) | (p >= 1.0), 0.0, h)
+        h = -p * np.log2(p) - q * np.log2(q)
+    return np.where(p * q <= 0.0, 0.0, h)  # p * q is NaN, not <= 0, when p is NaN
 
 
 def shannon_entropy(dist: Sequence[float]) -> float:

@@ -1,30 +1,23 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from siqrng.acquisition import (
+    STATUSES,
     BasisCounts,
     ClickRecord,
     EpsilonBudget,
-    IncompatibleCountsError,
-    NoBasisDataError,
-    assignment_prob,
-    double_click_cost_assignment,
-    double_click_cost_discard,
-    fluctuation_adjust,
+    certify,
     format_counts,
-    hoeffding_theta,
     parse_counts,
     read_counts,
-    squash_bounds,
-    squash_interval,
     total_epsilon,
-    worst_case_interval,
-    worst_case_prob,
     write_counts,
 )
+from siqrng.qubit import QubitTomogram, coherence_rel_entropy
 
 counts_strategy = st.builds(
     BasisCounts,
@@ -33,43 +26,65 @@ counts_strategy = st.builds(
     nd=st.integers(min_value=0, max_value=10**6),
 )
 
+BUDGET = EpsilonBudget.uniform()
+BALANCED = (450, 450, 100)
+Z_COUNTS = (4500, 4500, 1000)
 
-def make_record(counts: BasisCounts) -> ClickRecord:
-    return ClickRecord(x=counts, y=counts, z=counts)
+
+def cert_of(x=BALANCED, y=BALANCED, z=Z_COUNTS, budget=BUDGET, policy="discard", n_pulses=1e12):
+    """Certificate of one run; each test varies the basis it is about."""
+    return certify(x, y, z, n_pulses, budget, policy)
+
+
+def budget_x(eps_x: float) -> EpsilonBudget:
+    return EpsilonBudget(1e-10, 1e-10, eps_x, 1e-10, 1e-10)
+
+
+def both_backends(x=BALANCED, y=BALANCED, z=Z_COUNTS, n_pulses=1e12, policy="discard"):
+    """The certificate from plain numbers (math backend) and from 1-element arrays (numpy)."""
+    scalar = certify(x, y, z, n_pulses, BUDGET, policy)
+    arrays = [tuple(np.array([c], dtype=float) for c in triple) for triple in (x, y, z)]
+    return scalar, certify(*arrays, n_pulses, BUDGET, policy)
 
 
 class TestSquash:
     def test_frozen_example(self):
-        b = squash_interval(BasisCounts(900, 50, 50))
+        b = cert_of(x=(900, 50, 50)).x
         assert b.lower == pytest.approx(0.90, abs=1e-15)
         assert b.upper == pytest.approx(0.95, abs=1e-15)
 
     def test_no_doubles_degenerates(self):
-        b = squash_interval(BasisCounts(30, 70, 0))
+        b = cert_of(x=(30, 70, 0)).x
         assert b.lower == b.upper == pytest.approx(0.3, abs=1e-15)
 
     def test_all_doubles_is_uninformative(self):
-        b = squash_interval(BasisCounts(0, 0, 100))
+        b = cert_of(x=(0, 0, 100)).x
         assert (b.lower, b.upper) == (0.0, 1.0)
 
     def test_empty_basis_rejected(self):
-        with pytest.raises(NoBasisDataError):
-            squash_interval(BasisCounts(0, 0, 0), "y")
+        # X and Z alone would certify; an empty Y basis must still certify nothing
+        for cert in both_backends(x=(9e6, 5e5, 5e5), y=(0, 0, 0), z=(4.5e7, 4.5e7, 1e7), n_pulses=1e8):
+            assert cert.status == "no_clicks"
+            assert cert.net_bits == 0.0
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             BasisCounts(-1, 0, 0)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            cert_of(x=(-1, 0, 0))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_counts_rejected(self, value):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             BasisCounts(900, 50, value)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            cert_of(x=(900, 50, value))
 
     @given(counts_strategy)
     def test_interval_width_is_double_fraction(self, counts):
         if counts.n == 0:
             return
-        b = squash_interval(counts)
+        b = cert_of(x=counts).x
         assert 0.0 <= b.lower <= b.upper <= 1.0
         assert b.upper - b.lower == pytest.approx(counts.nd / counts.n, abs=1e-12)
 
@@ -77,27 +92,30 @@ class TestSquash:
         record = ClickRecord(
             x=BasisCounts(900, 50, 50), y=BasisCounts(30, 70, 0), z=BasisCounts(0, 0, 100)
         )
-        bounds = squash_bounds(record)
-        assert bounds.x.lower == pytest.approx(0.9)
-        assert bounds.y.upper == pytest.approx(0.3)
-        assert bounds.z.upper == 1.0
+        cert = certify(record.x, record.y, record.z, 1e6, BUDGET)
+        assert cert.x.lower == pytest.approx(0.9)
+        assert cert.y.upper == pytest.approx(0.3)
+        assert cert.z.upper == 1.0
 
 
 class TestWorstCase:
     def test_above_half(self):
-        assert worst_case_interval(0.90, 0.95) == (0.90, False)
+        b = cert_of(x=(900, 50, 50)).x
+        assert (b.worst, b.flipped) == (0.90, False)
 
     def test_below_half_flips(self):
-        p_w, flipped = worst_case_interval(0.40, 0.45)
-        assert p_w == pytest.approx(0.55, abs=1e-15)
-        assert flipped
+        b = cert_of(x=(400, 550, 50)).x  # interval [0.40, 0.45]
+        assert b.worst == pytest.approx(0.55, abs=1e-15)
+        assert b.flipped
 
     def test_straddling_floors(self):
-        assert worst_case_interval(0.45, 0.60) == (0.5, False)
+        b = cert_of(x=(450, 400, 150)).x  # interval [0.45, 0.60]
+        assert (b.worst, b.flipped) == (0.5, False)
 
     def test_invalid_interval(self):
+        # [0.7, 0.3] needs a negative double-click count
         with pytest.raises(ValueError):
-            worst_case_interval(0.7, 0.3)
+            cert_of(x=(700, 700, -400))
 
     @given(
         st.floats(min_value=0.0, max_value=1.0),
@@ -105,128 +123,209 @@ class TestWorstCase:
     )
     def test_result_in_flipped_interval(self, a, b):
         lower, upper = min(a, b), max(a, b)
-        p_w, flipped = worst_case_interval(lower, upper)
-        assert 0.5 <= p_w <= 1.0
-        if flipped:
+        est = cert_of(x=(lower, 1.0 - upper, upper - lower)).x
+        assert 0.5 <= est.worst <= 1.0
+        lower, upper = est.lower, est.upper
+        if est.flipped:
             lower, upper = 1.0 - upper, 1.0 - lower
-        assert lower - 1e-12 <= p_w <= upper + 1e-12
+        assert lower - 1e-12 <= est.worst <= upper + 1e-12
 
     @given(counts_strategy)
     def test_flip_involution(self, counts):
         if counts.n == 0:
             return
         assert counts.flipped().flipped() == counts
-        original = worst_case_prob(squash_bounds(make_record(counts)), "x")
-        double_flip = worst_case_prob(
-            squash_bounds(make_record(counts.flipped().flipped())), "x"
-        )
-        assert original == double_flip
+        assert cert_of(x=counts).x == cert_of(x=counts.flipped().flipped()).x
 
     @given(counts_strategy)
     def test_flip_preserves_worst_case_value(self, counts):
         # relabeling the detectors cannot change the certified probability
         if counts.n == 0:
             return
-        p_orig, _ = worst_case_prob(squash_bounds(make_record(counts)), "x")
-        p_flip, _ = worst_case_prob(squash_bounds(make_record(counts.flipped())), "x")
+        p_orig = cert_of(x=counts).x.worst
+        p_flip = cert_of(x=counts.flipped()).x.worst
         assert p_orig == pytest.approx(p_flip, abs=1e-12)
 
 
 class TestHoeffding:
     def test_frozen_example(self):
-        theta = hoeffding_theta(1e8, 1e-10)
+        theta = cert_of(x=(9e7, 5e6, 5e6)).x.theta
         assert theta == pytest.approx(0.0003393070212207556, rel=1e-12)
         assert theta == pytest.approx(3.3931e-4, abs=1e-8)
 
     def test_exact_inversion_point(self):
-        assert hoeffding_theta(1, math.exp(-2.0)) == pytest.approx(1.0, rel=1e-14)
+        assert cert_of(x=(1, 0, 0), budget=budget_x(math.exp(-2.0))).x.theta == pytest.approx(1.0, rel=1e-14)
 
     def test_vanishes_with_data(self):
-        assert hoeffding_theta(1e18, 1e-10) < 1e-8
+        assert cert_of(x=(1e18, 0, 0)).x.theta < 1e-8
 
     @given(
         st.floats(min_value=1.0, max_value=1e12),
         st.floats(min_value=1e-12, max_value=0.999),
     )
     def test_inversion_identity(self, n, eps):
-        theta = hoeffding_theta(n, eps)
+        theta = cert_of(x=(n, 0, 0), budget=budget_x(eps)).x.theta
         assert math.exp(-2.0 * theta**2 * n) == pytest.approx(eps, rel=1e-12)
 
     @pytest.mark.parametrize("n,eps", [(0, 0.5), (-5, 0.5), (10, 0.0), (10, 1.0)])
     def test_domain(self, n, eps):
+        if n == 0:  # an empty basis is a cell status, not an error
+            assert cert_of(x=(0, 0, 0), budget=budget_x(eps)).status == "no_clicks"
+            return
         with pytest.raises(ValueError):
-            hoeffding_theta(n, eps)
+            cert_of(x=(n, 0, 0), budget=budget_x(eps))
 
 
 class TestFluctuationAdjust:
     def test_subtraction(self):
-        assert fluctuation_adjust(0.90, 0.0003393) == pytest.approx(0.8996607, abs=1e-12)
+        b = cert_of(x=(9e7, 5e6, 5e6)).x
+        assert b.adjusted == pytest.approx(0.90 - 0.0003393070212207556, abs=1e-15)
+        assert b.adjusted == pytest.approx(0.8996607, abs=1e-7)
 
     def test_floor_engages(self):
-        assert fluctuation_adjust(0.5001, 0.01) == 0.5
+        b = cert_of(x=(5001, 4999, 0)).x  # worst 0.5001, theta 0.034
+        assert b.worst == pytest.approx(0.5001, abs=1e-15)
+        assert b.adjusted == 0.5
 
     def test_zero_theta(self):
-        assert fluctuation_adjust(0.77, 0.0) == 0.77
+        # as theta vanishes the adjusted value is the worst case itself
+        b = cert_of(x=(7.7e29, 2.3e29, 0)).x
+        assert b.theta < 1e-14
+        assert b.adjusted == pytest.approx(0.77, abs=1e-14)
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            fluctuation_adjust(0.3, 0.01)
-        with pytest.raises(ValueError):
-            fluctuation_adjust(0.7, -0.01)
+    @given(counts_strategy)
+    def test_domain(self, counts):
+        if counts.n == 0:
+            return
+        b = cert_of(x=counts).x
+        assert 0.5 <= b.adjusted <= b.worst <= 1.0
+        assert b.theta > 0.0
+        assert b.adjusted == max(b.worst - b.theta, 0.5)
 
 
 class TestAssignment:
     def test_frozen_example(self):
-        p_a = assignment_prob(0.5, BasisCounts(450, 450, 100))
+        p_a = cert_of(z=(450, 450, 100), policy="assign").assignment_prob
         assert p_a == pytest.approx(0.5, abs=1e-15)
 
     def test_lower_end(self):
-        counts = BasisCounts(450, 450, 100)
-        assert assignment_prob(450 / 1000, counts) == pytest.approx(0.0, abs=1e-12)
+        # worst case 0.55 is the interval's lower end: every double click goes to 1
+        assert cert_of(z=(550, 350, 100), policy="assign").assignment_prob == pytest.approx(0.0, abs=1e-12)
 
     def test_upper_end(self):
-        counts = BasisCounts(450, 450, 100)
-        assert assignment_prob(550 / 1000, counts) == pytest.approx(1.0, abs=1e-12)
+        # interval [0.4, 0.5]: worst case 1/2 is its upper end
+        assert cert_of(z=(400, 500, 100), policy="assign").assignment_prob == pytest.approx(1.0, abs=1e-12)
 
     def test_incompatible_rejected(self):
-        counts = BasisCounts(450, 450, 100)
-        with pytest.raises(IncompatibleCountsError):
-            assignment_prob(0.60, counts)
-        with pytest.raises(IncompatibleCountsError):
-            assignment_prob(0.40, counts)
+        # the worst case lies in the (relabeled) interval, so the assigned data
+        # always reproduce it with a rate in [0, 1]
+        for counts in [(450, 450, 100), (100, 800, 100), (550, 350, 100), (0, 60, 100), (3, 1, 7)]:
+            cert = cert_of(z=counts, policy="assign")
+            n0, n1, nd = counts
+            kept = n1 if cert.z.flipped else n0
+            assert 0.0 <= cert.assignment_prob <= 1.0
+            assert kept + cert.assignment_prob * nd == pytest.approx(cert.z.worst * sum(counts), rel=1e-12)
 
     def test_no_doubles_cases(self):
-        counts = BasisCounts(600, 400, 0)
-        assert assignment_prob(0.6, counts) == 0.0
-        with pytest.raises(IncompatibleCountsError):
-            assignment_prob(0.65, counts)
+        assert cert_of(z=(600, 400, 0), policy="assign").assignment_prob == 0.0
+        assert cert_of(z=(400, 600, 0), policy="assign").assignment_prob == 0.0
 
     def test_costs(self):
-        counts = BasisCounts(0, 0, 100)
-        assert double_click_cost_assignment(counts, 0.0) == 0.0
-        assert double_click_cost_assignment(counts, 1.0) == 0.0
-        assert double_click_cost_assignment(counts, 0.5) == pytest.approx(100.0)
-        assert double_click_cost_assignment(counts, 0.8) == pytest.approx(
-            72.19280948873623, rel=1e-12
-        )
+        def cost(z):
+            return cert_of(z=z, policy="assign").double_click_cost
+
+        assert cost((550, 350, 100)) == 0.0  # p_a = 0
+        assert cost((400, 500, 100)) == 0.0  # p_a = 1
+        assert cost((0, 0, 100)) == pytest.approx(100.0)  # p_a = 0.5
+        assert cost((0, 60, 100)) == pytest.approx(72.19280948873623, rel=1e-12)  # p_a = 0.8
 
     def test_discard_cost(self):
-        cost, surviving = double_click_cost_discard(BasisCounts(450, 450, 100))
-        assert cost == 100
-        assert surviving == 900
-        cost, surviving = double_click_cost_discard(BasisCounts(450, 450, 0))
-        assert cost == 0
-        assert surviving == 900
+        cert = cert_of(z=(450, 450, 100))
+        assert cert.double_click_cost == 100
+        assert cert.surviving_raw_bits == 900
+        assert cert.assignment_prob is None
+        cert = cert_of(z=(450, 450, 0))
+        assert cert.double_click_cost == 0
+        assert cert.surviving_raw_bits == 900
+
+    @given(counts_strategy)
+    def test_discard_never_cheaper_to_keep(self, counts):
+        # discarding pays one full bit per double click, assignment at most that
+        if counts.n == 0:
+            return
+        discard_cost = cert_of(z=counts).double_click_cost
+        assign_cost = cert_of(z=counts, policy="assign").double_click_cost
+        assert discard_cost >= assign_cost - 1e-9
+
+
+class TestCertify:
+    def test_nonphysical_tomogram_certifies_nothing(self):
+        # every basis fully polarized: Bloch radius 1.72
+        perfect = (1e6, 0, 0)
+        for policy in ("discard", "assign"):
+            for cert in both_backends(perfect, perfect, perfect, n_pulses=1e7, policy=policy):
+                assert cert.status == "nonphysical"
+                assert cert.radius == pytest.approx(1.72029686757, rel=1e-10)
+                assert cert.net_bits == 0.0 and cert.rate_per_pulse == 0.0
+
+    def test_below_floor_certifies_nothing(self):
+        for cert in both_backends((900, 50, 50), BALANCED, (40, 40, 10), n_pulses=12000):
+            assert cert.status == "below_floor"
+            assert cert.n_z == 90
+            assert cert.net_bits == 0.0
+
+    def test_statuses_are_cells(self):
+        cells = {  # (x, y, z) counts of one run each, certified in one array call
+            "no_positive_rate": ((900, 50, 50), BALANCED, Z_COUNTS),
+            "no_clicks": ((900, 50, 50), (0, 0, 0), Z_COUNTS),
+            "nonphysical": ((1e6, 0, 0), (1e6, 0, 0), (1e6, 0, 0)),
+            "below_floor": ((900, 50, 50), BALANCED, (40, 40, 10)),
+            "ok": ((9e6, 5e5, 5e5), (4.5e6, 4.5e6, 1e6), (4.5e7, 4.5e7, 1e7)),
+        }
+        x, y, z = (tuple(np.array([run[b][k] for run in cells.values()]) for k in range(3)) for b in range(3))
+        cert = certify(x, y, z, 1e8, BUDGET)
+        assert cert.status.tolist() == list(cells) and set(cells) == set(STATUSES)
+        assert (cert.net_bits > 0).tolist() == [False, False, False, False, True]
+        assert cert.rate_per_pulse[-1] == cert.net_bits[-1] / 1e8
+
+    @given(counts_strategy, counts_strategy, counts_strategy)
+    def test_coherence_is_the_tomogram_formula(self, x, y, z):
+        cert = cert_of(x, y, z)
+        if cert.status in ("no_clicks", "nonphysical"):
+            return
+        tomogram = QubitTomogram(cert.x.adjusted, cert.y.adjusted, cert.z.adjusted)
+        assert cert.radius == tomogram.bloch_norm
+        assert cert.coherence == coherence_rel_entropy(tomogram)
+
+    @pytest.mark.parametrize("bad", ["n_pulses", "policy"])
+    def test_run_level_inputs_refused(self, bad):
+        with pytest.raises(ValueError):
+            if bad == "n_pulses":
+                cert_of(n_pulses=0.0)
+            else:
+                cert_of(policy="keep")
 
     @given(
-        counts_strategy,
-        st.floats(min_value=0.0, max_value=1.0),
+        entries=st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True),
+        value=st.sampled_from([math.nan, math.inf, -math.inf]),
+        backend=st.sampled_from(["math", "numpy"]),
     )
-    def test_discard_never_cheaper_to_keep(self, counts, p_a):
-        # discarding pays one full bit per double click, assignment at most that
-        discard_cost, _ = double_click_cost_discard(counts)
-        assign_cost = double_click_cost_assignment(counts, p_a)
-        assert discard_cost >= assign_cost - 1e-9
+    def test_non_finite_input_never_certifies(self, entries, value, backend):
+        counts = [list(BALANCED), [900, 50, 50], [45000, 45000, 10000]]
+        n_pulses = 1e8
+        for entry in entries:
+            if entry == 9:
+                n_pulses = value
+            else:
+                counts[entry // 3][entry % 3] = value
+        if backend == "numpy":
+            counts = [[np.array([c], dtype=float) for c in triple] for triple in counts]
+        try:
+            cert = certify(*counts, n_pulses, BUDGET, "discard")
+        except ValueError:
+            return
+        assert np.all(cert.status != "ok")
+        assert np.all(np.asarray(cert.net_bits) <= 0.0)
 
 
 class TestEpsilonBudget:

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from siqrng.acquisition import EpsilonBudget, certify
 from siqrng.bounds import (
     MIN_ENTROPY_COEFF,
-    RateReport,
-    assemble_rate_report,
     finite_size_floor,
-    min_entropy_bound,
     smoothing_log_term,
     tomo_rate_asymptotic,
     witness_rate_asymptotic,
@@ -18,6 +16,19 @@ from siqrng.bounds import (
 from siqrng.qubit import QubitTomogram
 
 from conftest import random_tomogram_array
+
+BUDGET = EpsilonBudget.uniform()
+counts_strategy = st.tuples(*[st.integers(min_value=0, max_value=10**6)] * 3)
+
+
+def transverse_cert(p_x: float, n: float, n_z: float, budget=BUDGET, n_pulses=1e12):
+    """Certificate of an X-polarized run: Y and Z balanced, so only X purity is coherence."""
+    return certify((p_x * n, (1.0 - p_x) * n, 0), (n / 2, n / 2, 0), (n_z / 2, n_z / 2, 0), n_pulses, budget)
+
+
+def bound(cert) -> float:
+    """The finite-size min-entropy bound n_z * C - penalty."""
+    return cert.entropy_bound - cert.finite_size_penalty
 
 
 class TestPenaltyCoefficient:
@@ -51,43 +62,50 @@ class TestFiniteSizeFloor:
 
 class TestMinEntropyBound:
     def test_frozen_example(self):
-        bound = min_entropy_bound(1e8, 0.713602, 1e-10)
-        penalty = 1e8 * 0.713602 - bound
-        assert penalty == pytest.approx(581926.8094783893, rel=1e-12)
-        assert bound == pytest.approx(70778273.19052161, rel=1e-12)
+        cert = transverse_cert(0.9, 1e8, 1e8)
+        assert cert.finite_size_penalty == pytest.approx(581926.8094783893, rel=1e-12)
+        assert cert.entropy_bound == 1e8 * cert.coherence
+        assert bound(cert) == pytest.approx(1e8 * cert.coherence - 581926.8094783893, rel=1e-12)
         # coarse cross-check at reporting precision
-        assert bound == pytest.approx(7.0777e7, abs=2e4)
-        assert penalty == pytest.approx(5.828e5, abs=2e3)
+        assert cert.finite_size_penalty == pytest.approx(5.828e5, abs=2e3)
 
     def test_zero_coherence_is_pure_penalty(self):
         n_z = 1e6
-        bound = min_entropy_bound(n_z, 0.0, 1e-10)
-        assert bound == pytest.approx(
+        cert = transverse_cert(0.5, n_z, n_z)
+        assert cert.coherence == 0.0
+        assert bound(cert) == pytest.approx(
             -MIN_ENTROPY_COEFF * math.sqrt(n_z * smoothing_log_term(1e-10)), rel=1e-14
         )
-        assert bound < 0.0
+        assert bound(cert) < 0.0
+        assert cert.status == "no_positive_rate"
 
     def test_asymptotic_rate_approaches_coherence(self):
-        c = 0.5
-        assert min_entropy_bound(1e16, c, 1e-10) / 1e16 == pytest.approx(c, abs=1e-6)
-        assert min_entropy_bound(1e16, c, 1e-10) / 1e16 < c
+        cert = transverse_cert(0.85, 1e16, 1e16)
+        assert bound(cert) / 1e16 == pytest.approx(cert.coherence, abs=1e-6)
+        assert bound(cert) / 1e16 < cert.coherence
 
     def test_below_floor_rejected(self):
-        with pytest.raises(ValueError):
-            min_entropy_bound(107, 1.0, 1e-10)
-        assert min_entropy_bound(108, 1.0, 1e-10) < 108
+        short = transverse_cert(1.0, 1e6, 107)
+        assert short.status == "below_floor"
+        assert short.net_bits == 0.0
+        enough = transverse_cert(1.0, 1e6, 108)
+        assert enough.status != "below_floor"
+        assert bound(enough) < 108
 
-    def test_coherence_domain(self):
-        with pytest.raises(ValueError):
-            min_entropy_bound(1e6, 1.5, 1e-10)
+    @given(counts_strategy, counts_strategy, counts_strategy)
+    def test_coherence_domain(self, x, y, z):
+        cert = certify(x, y, z, 1e12, BUDGET)
+        if cert.status in ("no_clicks", "nonphysical"):
+            return
+        assert 0.0 <= cert.coherence <= 1.0
 
     def test_monotone_in_coherence(self):
-        bounds = [min_entropy_bound(1e6, c, 1e-10) for c in (0.2, 0.4, 0.6, 0.8, 1.0)]
-        assert all(a < b for a, b in zip(bounds, bounds[1:]))
+        certs = [transverse_cert(p_x, 1e6, 1e6) for p_x in (0.6, 0.7, 0.8, 0.9, 1.0)]
+        assert all(a.coherence < b.coherence for a, b in zip(certs, certs[1:]))
+        assert all(bound(a) < bound(b) for a, b in zip(certs, certs[1:]))
 
     def test_monotone_in_n_z_when_positive(self):
-        sizes = [10**k for k in range(5, 11)]
-        bounds = [min_entropy_bound(n, 0.7, 1e-10) for n in sizes]
+        bounds = [bound(transverse_cert(0.95, 10**k, 10**k)) for k in range(5, 11)]
         assert bounds[0] > 0
         assert all(a < b for a, b in zip(bounds, bounds[1:]))
 
@@ -137,56 +155,43 @@ class TestAsymptoticRates:
 
 class TestRateReport:
     def test_fields_and_invariants(self):
-        report = assemble_rate_report(
-            n_z=1e8, coherence=0.713602, epsilon1=1e-10, double_click_cost=1e6, n_pulses=2e8
-        )
-        assert report.entropy_bound == pytest.approx(71360200.0, rel=1e-12)
-        assert report.net_bits == pytest.approx(
-            report.entropy_bound - report.finite_size_penalty - report.double_click_cost,
+        cert = certify((9e7, 5e6, 5e6), (4.5e7, 4.5e7, 1e7), (4.5e7, 4.5e7, 1e7), 2e8, BUDGET)
+        assert cert.entropy_bound == pytest.approx(1e8 * cert.coherence, rel=1e-12)
+        assert cert.double_click_cost == 1e7
+        assert cert.net_bits == pytest.approx(
+            cert.entropy_bound - cert.finite_size_penalty - cert.double_click_cost,
             rel=1e-12,
         )
-        assert report.rate_per_pulse == pytest.approx(report.net_bits / 2e8, rel=1e-12)
-        assert report.positive
+        assert cert.rate_per_pulse == pytest.approx(cert.net_bits / 2e8, rel=1e-12)
+        assert cert.status == "ok"
 
     def test_zero_coherence_floors_at_zero(self):
-        report = assemble_rate_report(
-            n_z=1e6, coherence=0.0, epsilon1=1e-10, double_click_cost=0.0, n_pulses=1e6
-        )
-        assert report.net_bits == 0.0
-        assert report.rate_per_pulse == 0.0
-        assert not report.positive
+        cert = transverse_cert(0.5, 1e6, 1e6, n_pulses=1e6)
+        assert cert.net_bits == 0.0
+        assert cert.rate_per_pulse == 0.0
+        assert cert.status == "no_positive_rate"
 
-    def test_hand_arithmetic_invariant(self):
-        report = RateReport(
-            n_z=200.0,
-            entropy_bound=100.7,
-            finite_size_penalty=50.0,
-            double_click_cost=10.0,
-            net_bits=40.7,
-            rate_per_pulse=40.7 / 1000.0,
-        )
-        assert report.net_bits == pytest.approx(
-            max(
-                0.0,
-                report.entropy_bound - report.finite_size_penalty - report.double_click_cost,
-            ),
-            abs=1e-12,
-        )
-        assert report.positive
+    @given(counts_strategy, counts_strategy, counts_strategy, st.sampled_from(["discard", "assign"]))
+    def test_hand_arithmetic_invariant(self, x, y, z, policy):
+        cert = certify(x, y, z, 1e7, BUDGET, policy)
+        if cert.status == "ok":
+            assert cert.net_bits == cert.entropy_bound - cert.finite_size_penalty - cert.double_click_cost
+            assert cert.net_bits > 0.0
+        else:
+            assert cert.net_bits == 0.0
 
     def test_assembled_arithmetic(self):
-        # choose coherence so the penalty-adjusted bound lands on 100.7 exactly
-        n_z = 961.0
-        penalty = MIN_ENTROPY_COEFF * math.sqrt(n_z * smoothing_log_term(0.12))
-        coherence = (100.7 + penalty) / n_z
-        report = assemble_rate_report(
-            n_z=n_z, coherence=coherence, epsilon1=0.12, double_click_cost=10.0, n_pulses=1000.0
-        )
-        assert report.net_bits == pytest.approx(90.7, rel=1e-9)
-        assert report.rate_per_pulse == pytest.approx(0.0907, rel=1e-9)
+        # n_z = 961 at eps1 = 0.12: the penalty is k * sqrt(961 * log2(2 / 0.12^2))
+        budget = EpsilonBudget(0.12, 0.01, 0.01, 0.01, 0.01)
+        cert = certify((961, 0, 0), (480, 481, 0), (480, 481, 0), 1000.0, budget)
+        penalty = MIN_ENTROPY_COEFF * math.sqrt(961.0 * smoothing_log_term(0.12))
+        assert cert.finite_size_penalty == pytest.approx(penalty, rel=1e-15)
+        assert cert.net_bits == pytest.approx(961.0 * cert.coherence - penalty, rel=1e-12)
+        assert cert.net_bits == pytest.approx(104.00958052015244, rel=1e-9)
+        assert cert.rate_per_pulse == pytest.approx(0.10400958052015244, rel=1e-9)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            assemble_rate_report(1e6, 0.5, 1e-10, double_click_cost=-1.0, n_pulses=1e6)
+            certify((900, 50, 50), (450, 450, 100), (450, 450, -1.0), 1e6, BUDGET)
         with pytest.raises(ValueError):
-            assemble_rate_report(1e6, 0.5, 1e-10, double_click_cost=0.0, n_pulses=0.0)
+            certify((900, 50, 50), (450, 450, 100), (450, 450, 100), 0.0, BUDGET)

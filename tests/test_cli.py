@@ -3,8 +3,10 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -16,6 +18,54 @@ import siqrng
 from siqrng.cli import CliError, _shared_parser, build_parser, main
 
 COUNTS_TEXT = "X,900,50,50\nY,450,450,100\nZ,4500,4500,1000\n"
+REPO = Path(__file__).resolve().parents[1]
+
+# X and Y relabeled, Z straddling 1/2 with doubles to assign
+GOLDEN_COUNTS = "X,50000,900000,50000\nY,100000,800000,100000\nZ,4000000,4600000,1400000\n"
+GOLDEN_REPORT = """\
+command: rate
+policy: assign
+status: ok
+config.counts: {path}
+config.N: 20000000
+config.eps1: 1e-10
+config.eps2: 1e-10
+config.eps_x: 1e-10
+config.eps_y: 1e-10
+config.eps_z: 1e-10
+config.policy: assign
+bounds.x.lower: 0.05
+bounds.x.upper: 0.1
+worst.x: 0.9
+flipped.x: true
+theta.x: 0.00339307021
+adjusted.x: 0.89660693
+bounds.y.lower: 0.1
+bounds.y.upper: 0.2
+worst.y: 0.8
+flipped.y: true
+theta.y: 0.00339307021
+adjusted.y: 0.79660693
+bounds.z.lower: 0.4
+bounds.z.upper: 0.54
+worst.z: 0.5
+flipped.z: false
+theta.z: 0.00107298301
+adjusted.z: 0.5
+assignment_prob: 0.714285714
+coherence: 0.956504965
+n_z: 10000000
+entropy_bound: 9565049.65
+finite_size_penalty: 184021.415
+double_click_cost: 1208368.8
+net_bits: 8172659.44
+rate_per_pulse: 0.408632972
+total_epsilon: 5e-10
+finite_size_floor: 108
+note.finite_size_floor: validity floor is ceil((8/5)*log2(2/eps1^2)), e.g. 108 at eps1 = 1e-10; the value 95 sometimes quoted for that setting understates the requirement
+penalty_coeff: 7.08621321
+penalty_coeff_2dp: 7.09
+"""
 
 
 def run(capsys, argv):
@@ -99,6 +149,37 @@ class TestRate:
         assert lines[0].split(",")[0] == "n_z"
         assert len(lines) == 2
         assert lines[1].split(",")[0] == "10000"
+
+    def test_report_is_pinned(self, capsys, tmp_path):
+        path = tmp_path / "golden.txt"
+        path.write_text(GOLDEN_COUNTS)
+        rc, out, err = run(capsys, ["rate", "--counts", str(path), "--N", "2e7", "--policy", "assign"])
+        assert rc == 0 and err == ""
+        assert out == GOLDEN_REPORT.format(path=path)
+
+    @pytest.mark.parametrize("policy", ["discard", "assign"])
+    def test_nonphysical_counts_fail_at_coherence(self, capsys, tmp_path, policy):
+        # every basis fully polarized: a Bloch radius of 1.72, no qubit state
+        path = tmp_path / "counts.txt"
+        path.write_text("X,1e6,0,0\nY,1e6,0,0\nZ,1e6,0,0\n")
+        rc, out, err = run(capsys, ["rate", "--counts", str(path), "--N", "1e7", "--policy", policy])
+        assert rc == 2 and out == ""
+        assert err.startswith("error[coherence]: Bloch vector length 1.72029686757 exceeds 1")
+
+    def test_below_floor_is_refused(self, capsys, tmp_path):
+        # n_z = 90 is below the floor of 108 at eps1 = 1e-10
+        path = tmp_path / "counts.txt"
+        path.write_text("X,900,50,50\nY,450,450,100\nZ,40,40,10\n")
+        rc, out, err = run(capsys, ["rate", "--counts", str(path), "--N", "12000"])
+        assert rc == 2 and out == ""
+        assert err == "error[rate assembly]: finite-size bound invalid: n_z = 90 is below the floor 108 for epsilon1 = 1e-10\n"
+
+    def test_empty_basis_fails_at_squashing(self, capsys, tmp_path):
+        path = tmp_path / "counts.txt"
+        path.write_text("X,900,50,50\nY,0,0,0\nZ,4500,4500,1000\n")
+        rc, out, err = run(capsys, ["rate", "--counts", str(path), "--N", "12000"])
+        assert rc == 2 and out == ""
+        assert err == "error[squashing]: no clicks in basis y\n"
 
     def test_config_document_with_overrides(self, capsys, tmp_path):
         config = tmp_path / "run.json"
@@ -242,6 +323,29 @@ def test_non_finite_inputs_never_certify(command, data):
         assert rc == 2 and err.getvalue().startswith("error[")
 
 
+EPS_FLAGS = ("--eps1", "--eps2", "--eps-x", "--eps-y", "--eps-z")
+OUT_OF_DOMAIN = {
+    "q": st.builds(lambda v: {"--q": v}, st.floats(min_value=0.5, max_value=1e6)),
+    "eta": st.builds(lambda v: {"--eta": v}, st.floats(min_value=1.0, max_value=1e6, exclude_min=True)),
+    "eps": st.builds(lambda k, v: {k: v}, st.sampled_from(EPS_FLAGS), st.floats(min_value=1.0, max_value=1e6)),
+    # every epsilon in (0, 1), but their sum is 1 or more
+    "budget": st.builds(lambda v: dict(zip(EPS_FLAGS, v)), st.lists(st.floats(0.2, 0.999), min_size=5, max_size=5)),
+}
+
+
+@given(command=st.sampled_from(["rate", "optimize"]), kind=st.sampled_from(sorted(OUT_OF_DOMAIN)), data=st.data())
+def test_out_of_domain_inputs_fail_staged(command, kind, data):
+    prefix, defaults = COMMANDS[command]
+    if kind == "q" and command == "optimize":  # optimize searches over q
+        return
+    flags = dict(defaults, **data.draw(OUT_OF_DOMAIN[kind]))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(prefix + [f"{name}={value}" for name, value in flags.items()])
+    assert rc == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("error[configuration]: ") and err.getvalue().count("\n") == 1
+
+
 BAD_COUNT = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf]),
     st.floats(max_value=-1e-9, allow_infinity=False),
@@ -249,15 +353,25 @@ BAD_COUNT = st.one_of(
 )
 
 
-@given(entries=st.lists(st.integers(0, 8), min_size=1, max_size=3, unique=True), data=st.data())
-def test_bad_inline_counts_never_certify(entries, data):
+@given(
+    entries=st.lists(st.integers(0, 8), min_size=1, max_size=3, unique=True),
+    route=st.sampled_from(["inline", "file"]),
+    data=st.data(),
+)
+def test_bad_counts_never_certify(entries, route, data):
     counts = [[900, 50, 50], [450, 450, 100], [4500, 4500, 1000]]
     for entry in entries:
         counts[entry // 3][entry % 3] = data.draw(BAD_COUNT)
-    document = json.dumps(dict(zip("XYZ", counts)))
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(["rate", "--counts-inline", document, "--N", "12000"])
+    with tempfile.TemporaryDirectory() as tmp:
+        if route == "inline":
+            source = ["--counts-inline", json.dumps(dict(zip("XYZ", counts)))]
+        else:
+            path = Path(tmp) / "counts.txt"
+            path.write_text("".join(f"{b},{n0!r},{n1!r},{nd!r}\n" for b, (n0, n1, nd) in zip("XYZ", counts)))
+            source = ["--counts", str(path)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["rate", *source, "--N", "12000"])
     assert rc == 2 and out.getvalue() == ""
     assert err.getvalue().startswith("error[reading counts]")
 
@@ -297,6 +411,22 @@ class TestParser:
         code = "import siqrng.cli; print(siqrng.cli._shared_parser.cache_info().currsize)"
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "0"
+
+
+class TestResults:
+    """The committed CSVs under results/ are what the scripts and the CLI write today."""
+
+    @pytest.mark.parametrize("name", ["pulse_sweep", "intensity_sweep", "compare_rates"])
+    def test_reproduced_byte_for_byte(self, capsys, monkeypatch, tmp_path, name):
+        dest = tmp_path / f"{name}.csv"
+        if name == "compare_rates":
+            assert main(["compare", "--step", "0.02", "--out", str(dest)]) == 0
+        else:
+            script = REPO / "scripts" / f"{name}.py"
+            monkeypatch.setattr(sys, "argv", [str(script), "--out", str(dest)])
+            runpy.run_path(str(script), run_name="__main__")
+        capsys.readouterr()
+        assert dest.read_bytes() == (REPO / "results" / f"{name}.csv").read_bytes()
 
 
 class TestSimulate:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from siqrng.acquisition import EpsilonBudget
+from siqrng.acquisition import EpsilonBudget, certify
 from siqrng.detector import (
     PHOTON_TAIL,
     ExperimentConfig,
@@ -13,7 +13,6 @@ from siqrng.detector import (
     analytic_click_stats,
     double_click_prob,
     mc_sample,
-    simulated_worst_probs,
 )
 
 from conftest import per_pulse_sample
@@ -309,32 +308,44 @@ class TestMonteCarlo:
 
 
 class TestSimulatedWorstProbs:
+    """Worst-case probabilities of the model's expected counts, read from their certificate.
+
+    `worst` is the infinite-data value, before the fluctuation term.
+    """
+
+    @staticmethod
+    def certificate(config, budget=EpsilonBudget.uniform()):
+        stats = analytic_click_stats(config)
+        return certify(stats.x, stats.y, stats.z, config.n_pulses, budget)
+
     def test_pure_source_infinite_data(self):
         config = ExperimentConfig(n_pulses=1e6, q=0.05, mu0=1.0, eta=1.0, p_mix=0.0)
-        probs = simulated_worst_probs(config)
-        assert probs.p_x == pytest.approx(1.0, rel=1e-12)
-        assert probs.theta_x == 0.0
+        cert = self.certificate(config)
+        assert cert.x.worst == pytest.approx(1.0, rel=1e-12)
+        assert cert.x.adjusted == pytest.approx(1.0 - cert.x.theta, rel=1e-12)
 
     def test_frozen_values_infinite_data(self):
-        probs = simulated_worst_probs(BASE)
-        assert probs.p_x == pytest.approx(0.9377540668798146, rel=1e-12)
-        assert probs.raw_y == pytest.approx(0.3775406687981454, rel=1e-12)
-        assert 1.0 - probs.raw_y == pytest.approx(0.6224593312018546, rel=1e-12)
+        cert = self.certificate(BASE)
+        assert cert.x.worst == pytest.approx(0.9377540668798146, rel=1e-12)
+        assert cert.y.lower == pytest.approx(0.3775406687981454, rel=1e-12)
+        assert 1.0 - cert.y.lower == pytest.approx(0.6224593312018546, rel=1e-12)
         # the transverse and Z intervals straddle 1/2, so the certified
         # worst case lands on the floor exactly
-        assert probs.p_y == 0.5
-        assert probs.p_z == 0.5
+        assert cert.y.worst == 0.5
+        assert cert.z.worst == 0.5
 
     def test_fluctuation_terms_wired_per_basis(self):
         budget = EpsilonBudget(1e-10, 1e-10, 1e-4, 1e-6, 1e-8)
-        probs = simulated_worst_probs(BASE, budget)
-        stats = probs.stats
-        assert probs.theta_x == pytest.approx(
+        cert = self.certificate(BASE, budget)
+        stats = analytic_click_stats(BASE)
+        assert cert.x.theta == pytest.approx(
             math.sqrt(math.log(1e4) / (2.0 * stats.x.n)), rel=1e-12
         )
-        assert probs.theta_z == pytest.approx(
+        assert cert.y.theta == pytest.approx(
+            math.sqrt(math.log(1e6) / (2.0 * stats.y.n)), rel=1e-12
+        )
+        assert cert.z.theta == pytest.approx(
             math.sqrt(math.log(1e8) / (2.0 * stats.z.n)), rel=1e-12
         )
-        assert probs.p_x == pytest.approx(0.9377540668798146 - probs.theta_x, rel=1e-12)
-        assert probs.p_y == 0.5
-        assert probs.raw_x == pytest.approx(0.9377540668798146 - probs.theta_x, rel=1e-12)
+        assert cert.x.adjusted == pytest.approx(0.9377540668798146 - cert.x.theta, rel=1e-12)
+        assert cert.y.adjusted == 0.5

@@ -3,61 +3,63 @@ import math
 import numpy as np
 import pytest
 
-from siqrng.acquisition import (
-    EpsilonBudget,
-    assignment_prob,
-    double_click_cost_assignment,
-    double_click_cost_discard,
-    squash_bounds,
-    worst_case_prob,
-)
-from siqrng.bounds import finite_size_floor, min_entropy_bound
-from siqrng.detector import ExperimentConfig, analytic_click_stats, simulated_worst_probs
+from siqrng.acquisition import EpsilonBudget, certify
+from siqrng.detector import ExperimentConfig, analytic_click_stats, expected_counts
 from siqrng.optimizer import (
     DEFAULT_MU_GRID,
     DEFAULT_Q_GRID,
     OptimizationResult,
     optimize,
-    rate_objective,
     rate_surface,
 )
-from siqrng.qubit import QubitTomogram, coherence_rel_entropy
 
 BUDGET = EpsilonBudget.uniform()
+GRID_MUS = np.array([0.2, 0.5, 0.95, 1.4, 3.0])
+GRID_QS = np.array([0.005, 0.05, 0.2, 0.45])
 
 
-def scalar_rate(config: ExperimentConfig, budget: EpsilonBudget, policy: str) -> float:
-    """Reference rate via the scalar pipeline, for checking the vectorized surface."""
+def config_rate(config: ExperimentConfig, policy: str = "discard") -> float:
+    """Rate of one configuration: its expected counts certified as plain numbers (math backend)."""
     stats = analytic_click_stats(config)
-    if stats.x.n <= 0 or stats.z.n < finite_size_floor(budget.eps1):
-        return 0.0
-    probs = simulated_worst_probs(config, budget)
-    coherence = coherence_rel_entropy(QubitTomogram(probs.p_x, probs.p_y, probs.p_z))
-    bound = min_entropy_bound(stats.z.n, coherence, budget.eps1)
-    if policy == "discard":
-        cost, _ = double_click_cost_discard(stats.z)
-    else:
-        p_w_z, flipped = worst_case_prob(squash_bounds(stats.record()), "z")
-        counts_z = stats.z.flipped() if flipped else stats.z
-        cost = double_click_cost_assignment(counts_z, assignment_prob(p_w_z, counts_z))
-    return max(0.0, bound - cost) / config.n_pulses
+    return certify(stats.x, stats.y, stats.z, config.n_pulses, BUDGET, policy).rate_per_pulse
 
 
 class TestRateSurface:
     def test_matches_scalar_pipeline(self):
-        mus = np.array([0.2, 0.5, 0.95, 1.4, 3.0])
-        qs = np.array([0.005, 0.05, 0.2, 0.45])
         for n_pulses in (1e5, 1e10):
             for p_mix in (0.0, 0.1, 0.3):
                 for policy in ("discard", "assign"):
-                    surface = rate_surface(n_pulses, p_mix, mus, qs, BUDGET, policy)
-                    for i, mu in enumerate(mus):
-                        for j, q in enumerate(qs):
+                    surface = rate_surface(n_pulses, p_mix, GRID_MUS, GRID_QS, BUDGET, policy)
+                    for i, mu in enumerate(GRID_MUS):
+                        for j, q in enumerate(GRID_QS):
                             config = ExperimentConfig(
                                 n_pulses=n_pulses, q=q, mu0=mu, eta=1.0, p_mix=p_mix
                             )
-                            expected = scalar_rate(config, BUDGET, policy)
+                            expected = config_rate(config, policy)
                             assert surface[i, j] == pytest.approx(expected, rel=1e-10, abs=1e-15)
+
+    def test_backends_agree_on_every_field(self):
+        # the same counts as arrays (numpy) and cell by cell as plain numbers (math)
+        mu, q = np.meshgrid(GRID_MUS, GRID_QS, indexing="ij")
+        for n_pulses in (1e5, 1e10):
+            for p_mix in (0.0, 0.1, 0.3):
+                counts = expected_counts(n_pulses, q, mu, p_mix, np.exp)
+                for policy in ("discard", "assign"):
+                    grid = certify(*counts, n_pulses, BUDGET, policy)
+                    for cell in np.ndindex(mu.shape):
+                        one = certify(*[[float(c[cell]) for c in triple] for triple in counts], n_pulses, BUDGET, policy)
+                        assert grid.status[cell] == one.status
+                        for name in ("x", "y", "z"):
+                            a, b = getattr(grid, name), getattr(one, name)
+                            assert a.flipped[cell] == b.flipped
+                            for field in ("lower", "upper", "worst", "theta", "adjusted"):
+                                assert getattr(a, field)[cell] == pytest.approx(getattr(b, field), rel=1e-12, abs=0.0)
+                        paid = "assignment_prob" if policy == "assign" else "surviving_raw_bits"
+                        for field in (
+                            "radius", "coherence", "n_z", "entropy_bound", "finite_size_penalty",
+                            "double_click_cost", "net_bits", "rate_per_pulse", paid,
+                        ):
+                            assert getattr(grid, field)[cell] == pytest.approx(getattr(one, field), rel=1e-12, abs=0.0)
 
     def test_policies_agree_on_this_source(self):
         # the depolarized source splits Z doubles evenly, so assigning them
@@ -96,19 +98,18 @@ class TestRateSurface:
 class TestRateObjective:
     def test_single_point(self):
         config = ExperimentConfig(n_pulses=1e10, q=0.005, mu0=0.95, eta=1.0, p_mix=0.1)
-        assert rate_objective(config, BUDGET) == pytest.approx(
-            scalar_rate(config, BUDGET, "discard"), rel=1e-12
-        )
+        surface = rate_surface(1e10, 0.1, np.array([0.95]), np.array([0.005]), BUDGET)
+        assert surface[0, 0] == pytest.approx(config_rate(config), rel=1e-12)
 
     def test_detected_intensity_drives_statistics(self):
         # only mu = eta * mu0 matters for the rate
         a = ExperimentConfig(n_pulses=1e8, q=0.02, mu0=1.0, eta=0.5, p_mix=0.1)
         b = ExperimentConfig(n_pulses=1e8, q=0.02, mu0=0.5, eta=1.0, p_mix=0.1)
-        assert rate_objective(a, BUDGET) == pytest.approx(rate_objective(b, BUDGET), rel=1e-12)
+        assert config_rate(a) == pytest.approx(config_rate(b), rel=1e-12)
 
     def test_tiny_intensity_certifies_nothing(self):
         config = ExperimentConfig(n_pulses=1e10, q=0.005, mu0=1e-4, eta=1.0, p_mix=0.1)
-        assert rate_objective(config, BUDGET) == pytest.approx(0.0, abs=1e-4)
+        assert config_rate(config) == pytest.approx(0.0, abs=1e-4)
 
 
 class TestOptimize:
@@ -140,7 +141,7 @@ class TestOptimize:
         config = ExperimentConfig(
             n_pulses=1e6, q=result.q_opt, mu0=result.mu_opt, eta=1.0, p_mix=0.1
         )
-        assert result.rate_opt == pytest.approx(rate_objective(config, BUDGET), rel=1e-12)
+        assert result.rate_opt == pytest.approx(config_rate(config), rel=1e-12)
         assert result.status == "ok"
         assert result.positive
 
@@ -179,4 +180,4 @@ class TestOptimize:
         sample = result.trace[:: max(1, result.trace.shape[0] // 7)]
         for mu, q, rate in sample:
             config = ExperimentConfig(n_pulses=1e7, q=q, mu0=mu, eta=1.0, p_mix=0.0)
-            assert rate == pytest.approx(rate_objective(config, BUDGET), rel=1e-12, abs=1e-15)
+            assert rate == pytest.approx(config_rate(config), rel=1e-12, abs=1e-15)
