@@ -10,7 +10,7 @@ then distills the certified bits.
 
 Layout:
 
-    qubit        single-qubit tomograms, entropies, coherence, witnesses
+    qubit        single-qubit tomograms, entropies, witnesses, and the coherence `certify` runs
     bounds       asymptotic rates, the finite-size penalty and its validity floor
     acquisition  click records and `certify`, counts to a `Certificate`
     detector     optical threshold-detector model (closed form and Monte Carlo)

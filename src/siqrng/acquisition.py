@@ -12,21 +12,20 @@ The coherence of the resulting tomogram gives the finite-size min-entropy
 bound, and Z-basis double clicks are paid for either by discarding them or
 by random assignment at a rate chosen to reproduce the worst-case
 probability.  `certify` runs that whole chain, on one run's counts or on
-arrays of counts.
+arrays of counts; the Bloch length and the coherence are `qubit`'s, run on
+the float or the array backend to match the counts.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
-from .bounds import MIN_ENTROPY_COEFF, finite_size_floor, smoothing_log_term
-from .qubit import PHYSICALITY_TOL, binary_entropy, binary_entropy_arr
+from .bounds import MIN_ENTROPY_COEFF, _check_epsilon, finite_size_floor, smoothing_log_term
+from .qubit import PHYSICALITY_TOL, _MATH_OPS, _NUMPY_OPS, _bloch_radius, _coherence, _maximum
 
 POLICIES = ("discard", "assign")
 
@@ -81,23 +80,19 @@ class EpsilonBudget:
     eps_z: float
 
     def __post_init__(self) -> None:
-        for name in ("eps1", "eps2", "eps_x", "eps_y", "eps_z"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie strictly in (0, 1): {value!r}")
-        total = self.eps1 + self.eps2 + self.eps_x + self.eps_y + self.eps_z
-        if total >= 1.0:
-            raise ValueError(f"epsilon budget sums to {total!r} >= 1")
+        for field in fields(self):
+            _check_epsilon(getattr(self, field.name), field.name)
+        total_epsilon(self)
 
     @classmethod
     def uniform(cls, value: float = 1e-10) -> "EpsilonBudget":
         return cls(value, value, value, value, value)
 
     def for_basis(self, name: str) -> float:
-        key = {"x": "eps_x", "y": "eps_y", "z": "eps_z"}.get(name.lower())
-        if key is None:
-            raise ValueError(f"unknown basis {name!r}")
-        return getattr(self, key)
+        try:
+            return getattr(self, f"eps_{name.lower()}")
+        except AttributeError:
+            raise ValueError(f"unknown basis {name!r}") from None
 
 
 def total_epsilon(budget: EpsilonBudget) -> float:
@@ -117,44 +112,9 @@ def total_epsilon(budget: EpsilonBudget) -> float:
 STATUSES = ("no_clicks", "nonphysical", "below_floor", "no_positive_rate", "ok")
 
 
-def _maximum(a, b):
-    return a if a >= b or a != a else b  # NaN wins, as in np.maximum
-
-
-def _minimum(a, b):
-    return a if a <= b or a != a else b
-
-
 def _max(a, b):
     """The maximum of either backend, for the values a BasisEstimate derives on access."""
     return np.maximum(a, b) if isinstance(a, np.ndarray) else _maximum(a, b)
-
-
-# The math backend guards what numpy evaluates under errstate: a zero divisor
-# or a negative square root gives NaN, and the entropy passes NaN through
-# (finite values outside (0, 1) give 0), as binary_entropy_arr does.
-_MATH_OPS = SimpleNamespace(
-    quiet=contextlib.nullcontext,
-    valid=lambda n0, n1, nd, n: n0 >= 0 and n1 >= 0 and nd >= 0 and n < math.inf,
-    where=lambda cond, a, b: a if cond else b,
-    div=lambda a, b: a / b if b else math.nan,
-    sqrt=lambda a: math.sqrt(a) if a >= 0.0 else math.nan,
-    maximum=_maximum,
-    minimum=_minimum,
-    entropy=lambda p: p if p != p else binary_entropy(_minimum(_maximum(p, 0.0), 1.0)),
-)
-
-_NUMPY_OPS = SimpleNamespace(
-    quiet=lambda: np.errstate(all="ignore"),
-    # NaN in an array makes its min and max NaN, which fails the comparison
-    valid=lambda n0, n1, nd, n: n0.min() >= 0 and n1.min() >= 0 and nd.min() >= 0 and n.max() < math.inf,
-    where=np.where,
-    div=np.divide,
-    sqrt=np.sqrt,
-    maximum=np.maximum,
-    minimum=np.minimum,
-    entropy=binary_entropy_arr,
-)
 
 
 @dataclass(frozen=True)
@@ -255,11 +215,8 @@ def certify(x, y, z, n_pulses: float, budget: EpsilonBudget, policy: str = "disc
         n_z = n  # Z is the last basis of the loop
         p_x, p_y, p_z = (b.adjusted for b in bases)
 
-        radius = ops.sqrt(ops.maximum(4.0 * (p_x**2 + p_y**2 + p_z**2 - p_x - p_y - p_z) + 3.0, 0.0))
-        # h(p_z) less the entropy of the state, its radius clamped to the ball
-        state_entropy = ops.entropy((1.0 + ops.minimum(radius, 1.0)) / 2.0)
-        coherence = ops.maximum(ops.entropy(p_z) - state_entropy, 0.0)
-        del state_entropy  # on grids, each spent array is freed at once
+        radius = _bloch_radius(p_x, p_y, p_z, ops)
+        coherence = _coherence(p_z, radius, ops)
 
         n0_z, n1_z, nd_z = counts[2]
         if policy == "assign":

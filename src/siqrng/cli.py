@@ -18,6 +18,7 @@ report the pipeline stage that rejected the input and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -27,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .acquisition import (
+    POLICIES,
     BasisCounts,
     ClickRecord,
     EpsilonBudget,
@@ -45,7 +47,7 @@ from .bounds import (
 from .detector import ClickStats, ExperimentConfig, analytic_click_stats, mc_sample
 from .extractor import ToeplitzSpec, format_bit_string, output_length, read_bits, toeplitz_extract, write_bits
 from .optimizer import DEFAULT_MU_GRID, DEFAULT_Q_GRID, optimize
-from .qubit import QubitTomogram
+from .qubit import NonphysicalStateError, QubitTomogram
 
 FLOOR_NOTE = (
     "validity floor is ceil((8/5)*log2(2/eps1^2)), e.g. 108 at eps1 = 1e-10; "
@@ -90,19 +92,11 @@ def _write_csv(path: str, header: list[str], rows: list[list[object]]) -> None:
 
 
 def _budget_from_args(args) -> EpsilonBudget:
-    return EpsilonBudget(
-        eps1=args.eps1, eps2=args.eps2, eps_x=args.eps_x, eps_y=args.eps_y, eps_z=args.eps_z
-    )
+    return EpsilonBudget(**{f.name: getattr(args, f.name) for f in dataclasses.fields(EpsilonBudget)})
 
 
 def _echo_budget(budget: EpsilonBudget) -> list[tuple[str, object]]:
-    return [
-        ("config.eps1", budget.eps1),
-        ("config.eps2", budget.eps2),
-        ("config.eps_x", budget.eps_x),
-        ("config.eps_y", budget.eps_y),
-        ("config.eps_z", budget.eps_z),
-    ]
+    return [(f"config.{f.name}", getattr(budget, f.name)) for f in dataclasses.fields(budget)]
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -166,11 +160,8 @@ def _expand_config_args(argv: list[str]) -> list[str]:
 
 
 def _add_epsilon_args(parser) -> None:
-    parser.add_argument("--eps1", type=float, default=1e-10)
-    parser.add_argument("--eps2", type=float, default=1e-10)
-    parser.add_argument("--eps-x", dest="eps_x", type=float, default=1e-10)
-    parser.add_argument("--eps-y", dest="eps_y", type=float, default=1e-10)
-    parser.add_argument("--eps-z", dest="eps_z", type=float, default=1e-10)
+    for f in dataclasses.fields(EpsilonBudget):
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=float, default=1e-10)
 
 
 def _add_source_args(parser) -> None:
@@ -204,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.add_argument("--seed", type=int, default=0)
     _add_source_args(p_rate)
     _add_epsilon_args(p_rate)
-    p_rate.add_argument("--policy", choices=("discard", "assign"), default="discard")
+    p_rate.add_argument("--policy", choices=POLICIES, default="discard")
     p_rate.add_argument("--out", help="also write the report as a one-row CSV")
 
     p_cmp = sub.add_parser("compare", help="witness vs tomography rates on the Bloch x-y disk")
@@ -222,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--p", type=float, default=0.0)
     p_opt.add_argument("--eta", type=float, default=1.0)
     _add_epsilon_args(p_opt)
-    p_opt.add_argument("--policy", choices=("discard", "assign"), default="discard")
+    p_opt.add_argument("--policy", choices=POLICIES, default="discard")
     p_opt.add_argument("--mu-grid", help="start:stop:step for the detected intensity")
     p_opt.add_argument("--q-grid", help="start:stop:step for the basis bias")
     p_opt.add_argument("--refine-levels", type=int, default=3)
@@ -277,8 +268,7 @@ def cmd_rate(args, out) -> int:
                 raise ValueError(f"counts hold {clicks:.9g} clicks, more than the {n_pulses:.9g} pulses")
             config_echo += [("config.counts", source), ("config.N", n_pulses)]
         elif args.simulate:
-            config, stats, echo = _simulate(args, "--simulate")
-            record = stats.record()
+            config, record, echo = _simulate(args, "--simulate")
             n_pulses = config.n_pulses
             config_echo += echo
         else:
@@ -294,12 +284,9 @@ def cmd_rate(args, out) -> int:
             empty = next(name for name in "xyz" if not record.basis(name).n > 0)
             raise CliError("squashing", f"no clicks in basis {empty}")
         if status == "nonphysical":
+            stage = "coherence"
             tomogram = QubitTomogram(cert.x.adjusted, cert.y.adjusted, cert.z.adjusted)
-            raise CliError(
-                "coherence",
-                f"Bloch vector length {cert.radius:.12g} exceeds 1: tomogram {tomogram} "
-                "does not describe a qubit state",
-            )
+            raise NonphysicalStateError(tomogram, cert.radius)
         if status == "below_floor":
             raise CliError(
                 "rate assembly",
@@ -440,10 +427,9 @@ def cmd_simulate(args, out) -> int:
                 doc.append((f"double_fraction.{name}", counts.nd / counts.n))
         _emit(doc, out)
         if args.out:
-            record = stats.record()
             if not args.mc:
-                record = ClickRecord(*(BasisCounts(*map(round, c)) for c in (record.x, record.y, record.z)))
-            write_counts(args.out, record)
+                stats = ClickRecord(*(BasisCounts(*map(round, c)) for c in (stats.x, stats.y, stats.z)))
+            write_counts(args.out, stats)
         return 0
     except (ValueError, OSError) as e:
         raise CliError(stage, str(e)) from e

@@ -66,24 +66,12 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class ClickStats:
+class ClickStats(ClickRecord):
     """Click counts per basis together with the pulse counts that produced them."""
 
-    x: BasisCounts
-    y: BasisCounts
-    z: BasisCounts
     pulses_x: float
     pulses_y: float
     pulses_z: float
-
-    def record(self) -> ClickRecord:
-        return ClickRecord(x=self.x, y=self.y, z=self.z)
-
-    def basis(self, name: str) -> BasisCounts:
-        try:
-            return getattr(self, name.lower())
-        except AttributeError:
-            raise ValueError(f"unknown basis {name!r}") from None
 
 
 def expected_counts(n_pulses, q, mu, p_mix, exp=math.exp):

@@ -13,12 +13,18 @@ quantity is lower-bounded, without Y data, by the uniformly mixing witness
     C(rho) >= log2(d) - H(Xi(rho))
 
 where Xi is the dephasing map of a basis mutually unbiased with Z.
+
+The Bloch length and the coherence are written once, on a backend namespace:
+`_MATH_OPS` for floats, as the tomogram uses them, or `_NUMPY_OPS` for
+arrays, as `acquisition.certify` also runs them on grids of counts.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +39,12 @@ DISTRIBUTION_TOL = 1e-9
 
 class NonphysicalStateError(ValueError):
     """The measured probabilities are inconsistent with any qubit state."""
+
+    def __init__(self, tomogram: "QubitTomogram", radius: float):
+        super().__init__(
+            f"Bloch vector length {radius:.12g} exceeds 1: tomogram {tomogram} does not "
+            "describe a qubit state"
+        )
 
 
 def binary_entropy(p: float) -> float:
@@ -57,11 +69,60 @@ def binary_entropy_arr(p: np.ndarray) -> np.ndarray:
     return np.where(p * q <= 0.0, 0.0, h)  # p * q is NaN, not <= 0, when p is NaN
 
 
+def _maximum(a, b):
+    return a if a >= b or a != a else b  # NaN wins, as in np.maximum
+
+
+def _minimum(a, b):
+    return a if a <= b or a != a else b
+
+
+# The math backend guards what numpy evaluates under errstate: a zero divisor
+# or a negative square root gives NaN, and the entropy passes NaN through
+# (finite values outside (0, 1) give 0), as binary_entropy_arr does.
+_MATH_OPS = SimpleNamespace(
+    quiet=contextlib.nullcontext,
+    valid=lambda n0, n1, nd, n: n0 >= 0 and n1 >= 0 and nd >= 0 and n < math.inf,
+    where=lambda cond, a, b: a if cond else b,
+    div=lambda a, b: a / b if b else math.nan,
+    sqrt=lambda a: math.sqrt(a) if a >= 0.0 else math.nan,
+    maximum=_maximum,
+    minimum=_minimum,
+    entropy=lambda p: p if p != p else binary_entropy(_minimum(_maximum(p, 0.0), 1.0)),
+)
+
+_NUMPY_OPS = SimpleNamespace(
+    quiet=lambda: np.errstate(all="ignore"),
+    # NaN in an array makes its min and max NaN, which fails the comparison
+    valid=lambda n0, n1, nd, n: n0.min() >= 0 and n1.min() >= 0 and nd.min() >= 0 and n.max() < math.inf,
+    where=np.where,
+    div=np.divide,
+    sqrt=np.sqrt,
+    maximum=np.maximum,
+    minimum=np.minimum,
+    entropy=binary_entropy_arr,
+)
+
+
+def _bloch_radius(p_x, p_y, p_z, ops):
+    """Unclamped Bloch vector length of the zero-outcome probabilities."""
+    return ops.sqrt(ops.maximum(4.0 * (p_x**2 + p_y**2 + p_z**2 - p_x - p_y - p_z) + 3.0, 0.0))
+
+
+def _coherence(p_z, radius, ops):
+    """h(p_z) less the entropy of the state, its radius clamped to the ball, floored at 0."""
+    state_entropy = ops.entropy((1.0 + ops.minimum(radius, 1.0)) / 2.0)
+    return ops.maximum(ops.entropy(p_z) - state_entropy, 0.0)
+
+
 def shannon_entropy(dist: Sequence[float]) -> float:
     """Shannon entropy in bits of a normalized outcome distribution."""
     probs = [float(v) for v in dist]
     if len(probs) < 2:
         raise ValueError("distribution needs at least two outcomes")
+    if not all(map(math.isfinite, probs)):
+        # NaN fails every comparison below, so it would pass them all
+        raise ValueError(f"non-finite probability in distribution: {probs}")
     if min(probs) < 0.0:
         raise ValueError(f"negative probability in distribution: {probs}")
     if abs(sum(probs) - 1.0) > DISTRIBUTION_TOL:
@@ -97,11 +158,7 @@ class QubitTomogram:
     @property
     def bloch_norm(self) -> float:
         """Unclamped Bloch vector length.  May exceed 1 for inconsistent data."""
-        r2 = (
-            4.0 * (self.p_x**2 + self.p_y**2 + self.p_z**2 - self.p_x - self.p_y - self.p_z)
-            + 3.0
-        )
-        return math.sqrt(max(r2, 0.0))
+        return _bloch_radius(self.p_x, self.p_y, self.p_z, _MATH_OPS)
 
     @property
     def is_physical(self) -> bool:
@@ -112,10 +169,7 @@ class QubitTomogram:
         """Bloch length clamped to the unit ball; raises when clearly outside it."""
         r = self.bloch_norm
         if r > 1.0 + PHYSICALITY_TOL:
-            raise NonphysicalStateError(
-                f"Bloch vector length {r:.12g} exceeds 1: tomogram {self} does not "
-                "describe a qubit state"
-            )
+            raise NonphysicalStateError(self, r)
         return min(r, 1.0)
 
 
@@ -131,8 +185,7 @@ def coherence_rel_entropy(tomogram: QubitTomogram) -> float:
     nonnegative for physical tomograms; float dust a few ulps below zero is
     clamped so callers can rely on a rate in [0, 1].
     """
-    c = binary_entropy(tomogram.p_z) - von_neumann_entropy(tomogram)
-    return max(c, 0.0)
+    return _coherence(tomogram.p_z, tomogram.purity_radius, _MATH_OPS)
 
 
 def witness_value(xi_distribution: Sequence[float]) -> float:

@@ -17,7 +17,17 @@ from siqrng.acquisition import (
     total_epsilon,
     write_counts,
 )
-from siqrng.qubit import QubitTomogram, coherence_rel_entropy
+from siqrng.qubit import PHYSICALITY_TOL, QubitTomogram, coherence_rel_entropy
+
+PAULI = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def entropy_bits(probs) -> float:
+    return -sum(v * math.log2(v) for v in probs if v > 1e-15)
 
 counts_strategy = st.builds(
     BasisCounts,
@@ -296,6 +306,24 @@ class TestCertify:
         tomogram = QubitTomogram(cert.x.adjusted, cert.y.adjusted, cert.z.adjusted)
         assert cert.radius == tomogram.bloch_norm
         assert cert.coherence == coherence_rel_entropy(tomogram)
+
+    @given(counts_strategy, counts_strategy, counts_strategy, st.sampled_from(["math", "numpy"]))
+    def test_coherence_matches_eigenvalue_oracle(self, x, y, z, backend):
+        # independent of the closed form: C = S(diag rho) - S(rho), rho = (I + r.sigma) / 2
+        if backend == "numpy":
+            x, y, z = (tuple(np.array([c], dtype=float) for c in counts) for counts in (x, y, z))
+        cert = cert_of(x, y, z)
+        bloch = [2.0 * np.asarray(b.adjusted).item() - 1.0 for b in (cert.x, cert.y, cert.z)]
+        if math.isnan(sum(bloch)):  # a basis without clicks
+            return
+        rho = (np.eye(2) + sum(r * s for r, s in zip(bloch, PAULI))) / 2.0
+        eigs = np.linalg.eigvalsh(rho)
+        # the smaller eigenvalue is (1 - radius) / 2
+        assert bool(np.all(cert.physical)) == (eigs[0] >= -PHYSICALITY_TOL / 2.0)
+        if not eigs[0] >= -PHYSICALITY_TOL / 2.0:
+            return
+        expected = entropy_bits(np.diag(rho).real) - entropy_bits(eigs)
+        assert np.asarray(cert.coherence).item() == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("bad", ["n_pulses", "policy"])
     def test_run_level_inputs_refused(self, bad):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -15,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import siqrng
+from siqrng.acquisition import POLICIES
 from siqrng.cli import CliError, _shared_parser, build_parser, main
 
 COUNTS_TEXT = "X,900,50,50\nY,450,450,100\nZ,4500,4500,1000\n"
@@ -404,6 +406,13 @@ class TestParser:
         assert mine.parse_args(["--extra=1", "rate", "--simulate"]).extra == "1"
         with pytest.raises(CliError, match="unrecognized arguments: --extra=1"):
             _shared_parser().parse_args(["--extra=1", "rate", "--simulate"])
+
+    def test_policy_choices_are_certifys(self):
+        # a policy that certify accepts is reachable from both subcommands
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for command in ("rate", "optimize"):
+            policy = next(a for a in sub.choices[command]._actions if a.dest == "policy")
+            assert tuple(policy.choices) == POLICIES
 
     def test_built_on_first_use_not_at_import(self):
         src = str(Path(siqrng.__file__).parents[1])

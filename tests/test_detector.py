@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from siqrng.acquisition import EpsilonBudget, certify
+from siqrng.acquisition import ClickRecord, EpsilonBudget, certify, format_counts
 from siqrng.detector import (
     PHOTON_TAIL,
     ExperimentConfig,
@@ -270,6 +270,12 @@ class TestMonteCarlo:
         first = mc_sample(config, seed=5)
         assert mc_sample(config, seed=5) == first
         assert mc_sample(config, seed=6) != first
+
+    def test_stats_are_a_click_record(self):
+        stats = mc_sample(BASE, seed=4)
+        assert isinstance(stats, ClickRecord)
+        assert stats.basis("Z") is stats.z
+        assert format_counts(stats) == format_counts(ClickRecord(stats.x, stats.y, stats.z))
 
     def test_pulses_sum_to_n(self):
         config = ExperimentConfig(n_pulses=10_001, q=0.2, mu0=1.0, eta=1.0, p_mix=0.5)

@@ -77,6 +77,21 @@ class TestShannonEntropy:
         with pytest.raises(ValueError):
             shannon_entropy([1.0])
 
+    @pytest.mark.parametrize("fn", [shannon_entropy, witness_value, witness_coherence_bound])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "dist, position",
+        [pytest.param(d, i, id=f"d{len(d)}-at{i}") for d in ([0.5, 0.5], [0.25, 0.25, 0.5]) for i in range(len(d))],
+    )
+    def test_non_finite_entry_rejected(self, fn, value, dist, position):
+        # NaN fails every range and normalization comparison: unchecked, [nan, 0.5]
+        # gave a witness bound of 0.5 bit and [nan, nan] one of 1 bit
+        one_bad = list(dist)
+        one_bad[position] = value
+        for entries in (one_bad, [value] * len(dist)):
+            with pytest.raises(ValueError, match="non-finite"):
+                fn(entries)
+
 
 class TestTomogram:
     def test_probability_range_enforced(self):
@@ -91,8 +106,12 @@ class TestTomogram:
     def test_nonphysical_flagged_then_rejected(self):
         t = QubitTomogram(p_x=1.0, p_y=1.0, p_z=0.5)
         assert not t.is_physical
-        with pytest.raises(NonphysicalStateError):
+        with pytest.raises(NonphysicalStateError) as caught:
             t.purity_radius
+        assert str(caught.value) == (
+            "Bloch vector length 1.41421356237 exceeds 1: tomogram "
+            "QubitTomogram(p_x=1.0, p_y=1.0, p_z=0.5) does not describe a qubit state"
+        )
 
     def test_radius_clamped_within_tolerance(self):
         # 1e-5 off the pole overshoots the ball by ~2e-10, inside the tolerance
