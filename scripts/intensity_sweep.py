@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from siqrng import EpsilonBudget, rate_surface
+from siqrng.acquisition import POLICIES
 from siqrng.optimizer import DEFAULT_MU_GRID, DEFAULT_Q_GRID
 
 
@@ -26,7 +27,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n-pulses", type=float, default=1e10)
     parser.add_argument("--p", type=float, nargs="+", default=[0.0, 0.1, 0.3])
-    parser.add_argument("--policy", choices=("discard", "assign"), default="discard")
+    parser.add_argument("--policy", choices=POLICIES, default="discard")
     parser.add_argument("--out", default="results/intensity_sweep.csv")
     args = parser.parse_args()
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from siqrng import EpsilonBudget, optimize
+from siqrng.acquisition import POLICIES
 
 
 def main() -> None:
@@ -26,7 +27,7 @@ def main() -> None:
     parser.add_argument("--p", type=float, default=0.1)
     parser.add_argument("--log10-min", type=float, default=4.0)
     parser.add_argument("--log10-max", type=float, default=10.0)
-    parser.add_argument("--policy", choices=("discard", "assign"), default="discard")
+    parser.add_argument("--policy", choices=POLICIES, default="discard")
     parser.add_argument("--out", default="results/pulse_sweep.csv")
     args = parser.parse_args()
 

@@ -288,11 +288,16 @@ def parse_counts(text: str) -> ClickRecord:
     return ClickRecord(x=seen["x"], y=seen["y"], z=seen["z"])
 
 
+def _format_count(value: float) -> str:
+    """Text that parses back to the same count: integers in full, other floats by repr."""
+    value = float(value)  # a numpy scalar's repr would name its type
+    return str(int(value)) if value.is_integer() else repr(value)
+
+
 def format_counts(record: ClickRecord) -> str:
     lines = []
     for name in ("x", "y", "z"):
-        c = record.basis(name)
-        lines.append(f"{name.upper()},{c.n0:g},{c.n1:g},{c.nd:g}")
+        lines.append(",".join([name.upper(), *map(_format_count, record.basis(name))]))
     return "\n".join(lines) + "\n"
 
 

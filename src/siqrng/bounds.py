@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .qubit import QubitTomogram, binary_entropy, coherence_rel_entropy
+from .qubit import QubitTomogram, _check_fraction, coherence_rel_entropy, witness_coherence_bound
 
 MIN_ENTROPY_COEFF = 4.0 * math.log2(2.0 + math.sqrt(2.0))
 MIN_ENTROPY_COEFF_2DP = 7.09
@@ -41,20 +41,15 @@ def finite_size_floor(epsilon1: float) -> int:
     return math.ceil(1.6 * smoothing_log_term(epsilon1))
 
 
-def _check_fraction(value: float, name: str) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} outside [0, 1]: {value!r}")
-
-
 def witness_rate_asymptotic(p_x: float, q: float = 1.0, beta: float = 1.0) -> float:
     """Asymptotic bits per pulse certified from X-basis statistics alone.
 
     q is the X-basis sampling probability and beta the detection rate; with
-    both at 1 this is the plain witness rate 1 - h(p_x).
+    both at 1 this is the witness bound of (p_x, 1 - p_x), equal to 1 - h(p_x).
     """
     _check_fraction(q, "q")
     _check_fraction(beta, "beta")
-    return q * beta * (1.0 - binary_entropy(p_x))
+    return q * beta * witness_coherence_bound((p_x, 1.0 - p_x))
 
 
 def tomo_rate_asymptotic(tomogram: QubitTomogram, q_z: float = 1.0, beta: float = 1.0) -> float:

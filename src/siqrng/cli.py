@@ -57,8 +57,8 @@ FLOOR_NOTE = (
 # Echoed fields of a simulated configuration, as (report key, attribute).
 _CONFIG_ECHO = (("N", "n_pulses"), ("q", "q"), ("mu0", "mu0"), ("eta", "eta"), ("p", "p_mix"), ("mu", "mu"))
 
-# Per-axis cap for --mu-grid/--q-grid, ten times the default grids' size:
-# one rate surface then holds at most 1e6 cells.
+# Per-axis cap for --mu-grid/--q-grid and compare --step, ten times the
+# default grids' size: one rate surface then holds at most 1e6 cells.
 MAX_GRID_POINTS = 1000
 
 
@@ -84,11 +84,13 @@ def _emit(doc: list[tuple[str, object]], out) -> None:
         print(f"{key}: {_fmt(value)}", file=out)
 
 
+def _csv_text(header: list[str], rows: list[list[object]]) -> str:
+    lines = [",".join(header), *(",".join(_fmt(v) for v in row) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
 def _write_csv(path: str, header: list[str], rows: list[list[object]]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(_csv_text(header, rows))
 
 
 def _budget_from_args(args) -> EpsilonBudget:
@@ -346,8 +348,11 @@ def cmd_compare(args, out) -> int:
         step = args.step
         if not 0.0 < step <= 1.0:
             raise ValueError(f"step must lie in (0, 1]: {step!r}")
+        half = (1.0 + 1e-9) / step  # each axis holds 2 * floor(half) + 1 points
+        if half >= (MAX_GRID_POINTS + 1) // 2:
+            raise ValueError(f"step {step!r} puts more than {MAX_GRID_POINTS} points on each axis")
         stage = "rate comparison"
-        half = int(math.floor((1.0 + 1e-9) / step))
+        half = int(math.floor(half))
         axis = np.round(np.arange(-half, half + 1) * step, 12)
         rows = []
         worst_gap = math.inf
@@ -381,9 +386,7 @@ def cmd_compare(args, out) -> int:
                 out,
             )
         else:
-            print(",".join(header), file=out)
-            for row in rows:
-                print(",".join(_fmt(v) for v in row), file=out)
+            out.write(_csv_text(header, rows))
         return 0
     except (ValueError, OSError) as e:
         raise CliError(stage, str(e)) from e

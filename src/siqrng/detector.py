@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acquisition import BasisCounts, ClickRecord
+from .qubit import _check_fraction
 
 # Poisson mass beyond the largest sampled photon number (lumped into it).
 PHOTON_TAIL = 1e-15
@@ -54,10 +55,8 @@ class ExperimentConfig:
             raise ValueError(f"q must lie strictly in (0, 1/2): {self.q!r}")
         if not (math.isfinite(self.mu0) and self.mu0 > 0.0):
             raise ValueError(f"mu0 must be finite and positive: {self.mu0!r}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta outside [0, 1]: {self.eta!r}")
-        if not 0.0 <= self.p_mix <= 1.0:
-            raise ValueError(f"p_mix outside [0, 1]: {self.p_mix!r}")
+        _check_fraction(self.eta, "eta")
+        _check_fraction(self.p_mix, "p_mix")
 
     @property
     def mu(self) -> float:
@@ -126,10 +125,8 @@ def double_click_prob(m: int, eta: float, basis: str, p_mix: float = 0.0) -> flo
     """
     if m < 0 or int(m) != m:
         raise ValueError(f"photon number must be a nonnegative integer: {m!r}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta outside [0, 1]: {eta!r}")
-    if not 0.0 <= p_mix <= 1.0:
-        raise ValueError(f"p_mix outside [0, 1]: {p_mix!r}")
+    _check_fraction(eta, "eta")
+    _check_fraction(p_mix, "p_mix")
     routed = float(_outcome_probs(m, eta)[2])
     basis = basis.lower()
     if basis == "x":

@@ -106,46 +106,34 @@ def optimize(
     qs = DEFAULT_Q_GRID if q_grid is None else np.asarray(q_grid, dtype=float)
     if mus.ndim != 1 or qs.ndim != 1:
         raise ValueError("parameter grids must be one-dimensional")
-    mus = np.unique(mus)
-    qs = np.unique(qs)
+    mu_axis = np.unique(mus)
+    q_axis = np.unique(qs)
 
-    step_mu = float(np.min(np.diff(mus))) if mus.size > 1 else float(mus[0]) / 2.0
-    step_q = float(np.min(np.diff(qs))) if qs.size > 1 else float(qs[0]) / 2.0
+    step_mu = float(np.min(np.diff(mu_axis))) if mu_axis.size > 1 else float(mu_axis[0]) / 2.0
+    step_q = float(np.min(np.diff(q_axis))) if q_axis.size > 1 else float(q_axis[0]) / 2.0
 
-    best_mu = best_q = best_rate = None
     pieces = []
-
-    def evaluate(mu_axis: np.ndarray, q_axis: np.ndarray) -> None:
-        nonlocal best_mu, best_q, best_rate
+    candidates = []  # (-rate, mu, q) of each surface's best cell; min is the optimum
+    for level in range(refine_levels + 1):
+        if level:
+            _, mu_best, q_best = min(candidates)
+            mu_axis = _refine_axis(mu_best, step_mu, MU_BOX)
+            q_axis = _refine_axis(q_best, step_q, Q_BOX)
+            step_mu /= 10.0
+            step_q /= 10.0
         surface = rate_surface(n_pulses, p_mix, mu_axis, q_axis, budget, policy)
         mu_mesh, q_mesh = np.meshgrid(mu_axis, q_axis, indexing="ij")
         pieces.append(np.column_stack([mu_mesh.ravel(), q_mesh.ravel(), surface.ravel()]))
         # first argmax in mu-major order = smallest mu, then smallest q, among ties
-        flat = int(np.argmax(surface))
-        i, j = divmod(flat, q_axis.size)
-        mu_c, q_c, rate_c = float(mu_axis[i]), float(q_axis[j]), float(surface[i, j])
-        if (
-            best_rate is None
-            or rate_c > best_rate
-            or (rate_c == best_rate and (mu_c, q_c) < (best_mu, best_q))
-        ):
-            best_mu, best_q, best_rate = mu_c, q_c, rate_c
+        i, j = divmod(int(np.argmax(surface)), q_axis.size)
+        candidates.append((-float(surface[i, j]), float(mu_axis[i]), float(q_axis[j])))
 
-    evaluate(mus, qs)
-    for _ in range(refine_levels):
-        evaluate(
-            _refine_axis(best_mu, step_mu, MU_BOX),
-            _refine_axis(best_q, step_q, Q_BOX),
-        )
-        step_mu /= 10.0
-        step_q /= 10.0
-
-    trace = np.vstack(pieces)
-    positive = best_rate > 0.0
+    neg_rate, best_mu, best_q = min(candidates)
+    positive = neg_rate < 0.0
     return OptimizationResult(
         mu_opt=best_mu if positive else math.nan,
         q_opt=best_q if positive else math.nan,
-        rate_opt=best_rate,
+        rate_opt=-neg_rate,
         positive=positive,
-        trace=trace,
+        trace=np.vstack(pieces),
     )

@@ -47,10 +47,14 @@ class NonphysicalStateError(ValueError):
         )
 
 
+def _check_fraction(value: float, name: str) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} outside [0, 1]: {value!r}")
+
+
 def binary_entropy(p: float) -> float:
     """Binary Shannon entropy h(p) in bits, with h(0) = h(1) = 0."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability outside [0, 1]: {p!r}")
+    _check_fraction(p, "probability")
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
@@ -147,9 +151,7 @@ class QubitTomogram:
 
     def __post_init__(self) -> None:
         for name in ("p_x", "p_y", "p_z"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} outside [0, 1]: {value!r}")
+            _check_fraction(getattr(self, name), name)
 
     @property
     def bloch(self) -> tuple[float, float, float]:
@@ -204,4 +206,4 @@ def witness_coherence_bound(xi_distribution: Sequence[float], d: int | None = No
         raise ValueError(
             f"dimension {d} does not match distribution length {len(xi_distribution)}"
         )
-    return -witness_value(xi_distribution)
+    return 0.0 - witness_value(xi_distribution)  # not -W, which is -0.0 for uniform data

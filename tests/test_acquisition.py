@@ -424,3 +424,22 @@ class TestCountsFormat:
             x=BasisCounts(1, 2, 3), y=BasisCounts(4, 5, 6), z=BasisCounts(7, 8, 9)
         )
         assert parse_counts(format_counts(record)) == record
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            # counts of 1e6 and more: six significant digits would lose 54 of these Z clicks
+            ClickRecord(
+                x=BasisCounts(3769026, 0, 0),
+                y=BasisCounts(1249363, 1249131, 1265885),
+                z=BasisCounts(22499671, 22501750, 22806525),
+            ),
+            ClickRecord(
+                x=BasisCounts(900.123456789, 1e6, 2.0**60),
+                y=BasisCounts(1e300, 0.1, 1234567.5),
+                z=BasisCounts(np.int64(22499671), np.float64(900.123456789), np.float64(1e7)),
+            ),
+        ],
+    )
+    def test_format_is_exact(self, record):
+        assert parse_counts(format_counts(record)) == record

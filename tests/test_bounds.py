@@ -2,7 +2,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from siqrng.acquisition import EpsilonBudget, certify
@@ -13,7 +13,7 @@ from siqrng.bounds import (
     tomo_rate_asymptotic,
     witness_rate_asymptotic,
 )
-from siqrng.qubit import QubitTomogram
+from siqrng.qubit import QubitTomogram, binary_entropy
 
 from conftest import random_tomogram_array
 
@@ -151,6 +151,22 @@ class TestAsymptoticRates:
     def test_equality_on_transverse_plane(self, p_x):
         t = QubitTomogram(p_x=p_x, p_y=0.5, p_z=0.5)
         assert abs(tomo_rate_asymptotic(t) - witness_rate_asymptotic(p_x)) <= 1e-9
+
+    @given(st.floats(min_value=0.0, max_value=1.0))
+    @example(0.5)
+    @example(0.0)
+    @example(1.0)
+    def test_witness_rate_is_one_minus_binary_entropy(self, p_x):
+        # the X-only rate is the witness bound; it must equal 1 - h(p_x) to the bit
+        rate = witness_rate_asymptotic(p_x)
+        expected = 1.0 - binary_entropy(p_x)
+        assert rate == expected
+        assert math.copysign(1.0, rate) == math.copysign(1.0, expected)
+
+    @pytest.mark.parametrize("p_x", [math.nan, -0.1, 1.1, math.inf, -math.inf])
+    def test_witness_rate_rejects_bad_probability(self, p_x):
+        with pytest.raises(ValueError):
+            witness_rate_asymptotic(p_x)
 
 
 class TestRateReport:

@@ -11,6 +11,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -455,6 +456,18 @@ class TestSimulate:
         lines = out_file.read_text().splitlines()
         assert lines[0] == "X,29639,1193,774"
 
+    def test_mc_counts_file_is_exact(self, capsys, tmp_path):
+        # counts above 1e6 must reach rate as drawn, not rounded to six digits
+        out_file = tmp_path / "sim.txt"
+        argv = ["simulate", "--mc", "--N", "1e8", "--q", "0.05", "--mu0", "1.4", "--seed", "3"]
+        rc, out_sim, _ = run(capsys, [*argv, "--out", str(out_file)])
+        assert rc == 0
+        total = parse_doc(out_sim)["counts.z.total"]
+        assert int(total) > 10**6
+        rc, out_rate, _ = run(capsys, ["rate", "--counts", str(out_file), "--N", "1e8"])
+        assert rc == 0
+        assert parse_doc(out_rate)["n_z"] == total
+
     def test_round_trip_through_rate(self, capsys, tmp_path):
         out_file = tmp_path / "sim.txt"
         run(
@@ -573,6 +586,27 @@ class TestCompare:
         doc = parse_doc(out)
         assert int(doc["points"]) == len(out_csv.read_text().splitlines()) - 1
         assert float(doc["min_gap"]) >= -1e-12
+
+    def test_stdout_is_the_file_text(self, capsys, tmp_path):
+        out_csv = tmp_path / "grid.csv"
+        assert run(capsys, ["compare", "--step", "0.25", "--out", str(out_csv)])[0] == 0
+        rc, out, err = run(capsys, ["compare", "--step", "0.25"])
+        assert rc == 0 and err == ""
+        assert out == out_csv.read_text()
+
+    @pytest.mark.parametrize("step", ["1e-4", "0.002", "5e-324"])
+    def test_oversized_step_is_refused(self, capsys, monkeypatch, step):
+        # refused before any axis is built: an unchecked 1e-4 grid would need far more than 8 GB
+        def no_axis(*args, **kwargs):
+            raise AssertionError("np.arange ran before the step was checked")
+
+        monkeypatch.setattr(np, "arange", no_axis)
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["compare", "--step", step])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2 and out == ""
+        assert err == f"error[configuration]: step {float(step)!r} puts more than 1000 points on each axis\n"
+
 
 
 class TestExtract:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from siqrng import optimizer
 from siqrng.acquisition import EpsilonBudget, certify
 from siqrng.detector import ExperimentConfig, analytic_click_stats, expected_counts
 from siqrng.optimizer import (
@@ -123,6 +124,29 @@ class TestOptimize:
         assert result.q_opt == qs[j]
         assert result.rate_opt == pytest.approx(surface[i, j], rel=1e-12)
         assert result.evaluations == surface.size
+
+    @pytest.mark.parametrize(
+        "refined_best, expected",
+        [
+            ((1.0, 0.2), (1.0, 0.2)),  # equal rate, smaller mu wins though q is larger
+            ((2.0, 0.05), (2.0, 0.05)),  # equal rate and mu, smaller q wins
+            ((2.5, 0.01), (2.0, 0.1)),  # equal rate, larger mu loses though q is smaller
+        ],
+    )
+    def test_ties_across_surfaces(self, monkeypatch, refined_best, expected):
+        # every surface peaks at rate 1: the optimum is the smallest mu, then the smallest q
+        calls = []
+
+        def one_cell_surface(n_pulses, p_mix, mus, qs, budget, policy):
+            calls.append(None)
+            mu, q = (2.0, 0.1) if len(calls) == 1 else refined_best
+            return 1.0 * (np.isclose(mus, mu)[:, None] & np.isclose(qs, q)[None, :])
+
+        monkeypatch.setattr(optimizer, "rate_surface", one_cell_surface)
+        grids = dict(mu_grid=np.array([1.0, 2.0]), q_grid=np.array([0.1, 0.2]))
+        result = optimize(1e8, 0.1, BUDGET, refine_levels=1, **grids)
+        assert len(calls) == 2 and result.rate_opt == 1.0
+        assert (result.mu_opt, result.q_opt) == pytest.approx(expected, abs=1e-12)
 
     def test_refinement_never_hurts(self):
         coarse = optimize(1e7, 0.1, BUDGET, refine_levels=0)

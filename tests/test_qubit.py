@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from siqrng.bounds import tomo_rate_asymptotic, witness_rate_asymptotic
+from siqrng.detector import ExperimentConfig, double_click_prob
 from siqrng.qubit import (
     NonphysicalStateError,
     QubitTomogram,
@@ -233,9 +235,42 @@ class TestWitness:
         with pytest.raises(ValueError):
             witness_coherence_bound([0.5, 0.5], 3)
 
+    def test_uniform_bound_is_positive_zero(self):
+        bound = witness_coherence_bound([0.5, 0.5])
+        assert bound == 0.0 and math.copysign(1.0, bound) == 1.0
+
     def test_soundness_against_coherence(self):
         # the witness bound from either transverse basis never exceeds C
         for t in physical_tomograms(2000, seed=23):
             c = coherence_rel_entropy(t)
             assert c >= witness_coherence_bound([t.p_x, 1.0 - t.p_x], 2) - 1e-9
             assert c >= witness_coherence_bound([t.p_y, 1.0 - t.p_y], 2) - 1e-9
+
+
+def _config(**kwargs) -> ExperimentConfig:
+    return ExperimentConfig(**{"n_pulses": 1e6, "q": 0.05, "mu0": 1.0, "eta": 1.0, "p_mix": 0.1, **kwargs})
+
+
+# (parameter name in the message, call that checks it), one per call site
+FRACTION_CHECKS = [
+    pytest.param("probability", binary_entropy, id="binary_entropy"),
+    pytest.param("p_x", lambda v: QubitTomogram(v, 0.5, 0.5), id="tomogram-p_x"),
+    pytest.param("p_y", lambda v: QubitTomogram(0.5, v, 0.5), id="tomogram-p_y"),
+    pytest.param("p_z", lambda v: QubitTomogram(0.5, 0.5, v), id="tomogram-p_z"),
+    pytest.param("eta", lambda v: _config(eta=v), id="config-eta"),
+    pytest.param("p_mix", lambda v: _config(p_mix=v), id="config-p_mix"),
+    pytest.param("eta", lambda v: double_click_prob(2, v, "x", 0.5), id="double_click-eta"),
+    pytest.param("p_mix", lambda v: double_click_prob(2, 0.5, "x", v), id="double_click-p_mix"),
+    pytest.param("q", lambda v: witness_rate_asymptotic(0.9, q=v), id="witness_rate-q"),
+    pytest.param("beta", lambda v: witness_rate_asymptotic(0.9, beta=v), id="witness_rate-beta"),
+    pytest.param("q_z", lambda v: tomo_rate_asymptotic(QubitTomogram(0.9, 0.5, 0.5), q_z=v), id="tomo_rate-q_z"),
+    pytest.param("beta", lambda v: tomo_rate_asymptotic(QubitTomogram(0.9, 0.5, 0.5), beta=v), id="tomo_rate-beta"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, -0.1, 1.1])
+@pytest.mark.parametrize("name, call", FRACTION_CHECKS)
+def test_fraction_check_message(name, call, value):
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f"{name} outside [0, 1]: {value!r}"
