@@ -503,7 +503,10 @@ def cmd_extract(args, out) -> int:
         raw = read_bits(args.input, args.format, args.n)
         if args.n is not None and raw.size != args.n:
             raise ValueError(f"raw file holds {raw.size} bits, expected {args.n}")
-        seed = read_bits(args.seed_file, args.format, raw.size + m - 1 if m > 0 else None)
+        if m == 0 and args.format == "packed":
+            seed = np.zeros(0, dtype=np.uint8)  # an empty hash uses no seed bits
+        else:
+            seed = read_bits(args.seed_file, args.format, raw.size + m - 1)
         stage = "extraction"
         spec = ToeplitzSpec(input_length=raw.size, output_length=m, seed=seed)
         result = toeplitz_extract(raw, spec)

@@ -83,14 +83,33 @@ def _extract_matrix(spec: ToeplitzSpec, raw: np.ndarray) -> np.ndarray:
     return (matrix @ raw.astype(np.float64)).astype(np.int64).astype(np.uint8) & 1
 
 
+def _fft_length(target: int) -> int:
+    """The smallest 2**a * 3**b * 5**c >= target, a length numpy's FFT factors into small radices."""
+    best = 1 << (target - 1).bit_length()
+    odd = 1
+    while odd < best:  # odd runs over 3**b * 5**c
+        factor = odd
+        while factor < best:
+            best = min(best, factor << ((target - 1) // factor).bit_length())
+            factor *= 3
+        odd *= 5
+    return best
+
+
 def _extract_fft(spec: ToeplitzSpec, raw: np.ndarray) -> np.ndarray:
+    """Row parities from one circular convolution seed * raw of _fft_length(n + m - 1) points.
+
+    Row i's sum is entry n - 1 + i; any length >= n + m - 1 wraps only
+    outside the kept rows, and the smallest 5-smooth one is the cheapest.
+    """
     n, m = spec.input_length, spec.output_length
-    # a circular convolution of length >= n + m - 1 wraps only outside the kept rows
-    length = 1 << (n + m - 2).bit_length()
-    spectrum = np.fft.rfft(spec.seed, length) * np.fft.rfft(raw, length)
+    length = _fft_length(n + m - 1)
+    spectrum = np.fft.rfft(spec.seed, length)
+    spectrum *= np.fft.rfft(raw, length)
     sums = np.fft.irfft(spectrum, length)[n - 1 : n - 1 + m]
     rounded = np.rint(sums)
-    error = float(np.max(np.abs(sums - rounded)))
+    sums -= rounded
+    error = float(np.abs(sums, out=sums).max())
     if not error <= ROUNDING_MARGIN:
         raise ValueError(f"FFT row sums lie {error:.3g} from an integer, past the {ROUNDING_MARGIN} margin")
     return rounded.astype(np.int64).astype(np.uint8) & 1
@@ -100,10 +119,12 @@ def toeplitz_extract(raw_bits, spec: ToeplitzSpec, method: str = "fft") -> np.nd
     """Hash raw_bits down to spec.output_length bits.
 
     method 'fft' (the default) reads row i's sum off entry n - 1 + i of the
-    convolution seed * raw, in O((n + m) log(n + m)), and raises ValueError
-    when any sum lies more than ROUNDING_MARGIN from an integer.  method
-    'matrix' evaluates the literal matrix-vector product in O(n * m) memory
-    and is the normative small-n oracle.  Both give bit-identical output.
+    convolution seed * raw, computed with FFTs of the smallest 5-smooth
+    length (2**a * 3**b * 5**c) >= n + m - 1 in O((n + m) log(n + m)), and
+    raises ValueError when any sum lies more than ROUNDING_MARGIN from an
+    integer.  method 'matrix' evaluates the literal matrix-vector product in
+    O(n * m) memory and is the normative small-n oracle.  Both give
+    bit-identical output.
     """
     if method not in ("fft", "matrix"):
         raise ValueError(f"unknown method {method!r}")
@@ -120,7 +141,8 @@ def toeplitz_extract(raw_bits, spec: ToeplitzSpec, method: str = "fft") -> np.nd
 # --- bit-string serialization ---
 #
 # Packed files store bits most-significant-bit-first within each byte; the
-# final byte is zero-padded, so the bit count must be supplied when reading.
+# final byte is zero-padded, so the bit count must be supplied when reading,
+# and a file of any other length or with a nonzero padding bit is refused.
 # ASCII files hold the characters 0/1 with optional whitespace.
 
 
@@ -129,21 +151,28 @@ def pack_bits(bits) -> bytes:
 
 
 def unpack_bits(data: bytes, count: int) -> np.ndarray:
+    """The count bits packed in data, which must be exactly ceil(count / 8) bytes with zero padding."""
     if count < 0:
         raise ValueError(f"bit count must be nonnegative: {count!r}")
-    if len(data) * 8 < count:
-        raise ValueError(f"{len(data)} bytes hold fewer than {count} bits")
+    expected = -(-count // 8)
+    if len(data) != expected:
+        raise ValueError(f"packed data holds {len(data)} bytes, expected {expected} for {count} bits")
+    padding = -count % 8
+    if padding and data[-1] & ((1 << padding) - 1):
+        raise ValueError(f"packed data has nonzero padding bits after bit {count}")
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count)
 
 
 def parse_bit_string(text: str) -> np.ndarray:
+    """The 0/1 characters of text as bits, ignoring whitespace; ValueError names any other character."""
     stripped = "".join(text.split())
-    if not stripped:
-        return np.zeros(0, dtype=np.uint8)
+    if stripped.isascii():
+        # uint8 wraps, so every byte other than "0" and "1" lands above 1
+        bits = np.frombuffer(stripped.encode("ascii"), dtype=np.uint8) - ord("0")
+        if not np.any(bits > 1):
+            return bits
     bad = set(stripped) - {"0", "1"}
-    if bad:
-        raise ValueError(f"bit string contains non-binary characters: {sorted(bad)}")
-    return np.frombuffer(stripped.encode("ascii"), dtype=np.uint8) - ord("0")
+    raise ValueError(f"bit string contains non-binary characters: {sorted(bad)}")
 
 
 def format_bit_string(bits) -> str:

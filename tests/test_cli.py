@@ -667,6 +667,51 @@ class TestExtract:
 
         assert np.array_equal(read_bits(out_path, "packed", m), expected)
 
+    @pytest.mark.parametrize("fmt,empty", [("ascii", b"\n"), ("packed", b"")], ids=["ascii", "packed"])
+    def test_zero_output_length_writes_empty_output(self, capsys, tmp_path, fmt, empty):
+        from siqrng.extractor import write_bits
+
+        raw_path, seed_path, out_path = tmp_path / "raw", tmp_path / "seed", tmp_path / "out"
+        write_bits(raw_path, [1, 0, 1, 1, 0, 0, 1, 0, 1], fmt)
+        write_bits(seed_path, [0, 1, 1, 0, 1, 0, 0, 1], fmt)
+        rc, out, err = run(
+            capsys,
+            [
+                "extract", "--input", str(raw_path), "--seed-file", str(seed_path),
+                "--format", fmt, "--n", "9", "--net-bits", "5", "--out", str(out_path),
+            ],
+        )
+        assert rc == 0 and err == ""
+        assert parse_doc(out)["m"] == "0"
+        assert out_path.read_bytes() == empty
+
+    @pytest.mark.parametrize(
+        "target,data,message",
+        [
+            ("raw", b"\xb5\x40\x00", "packed data holds 3 bytes, expected 2 for 12 bits"),
+            ("raw", b"\xb5", "packed data holds 1 bytes, expected 2 for 12 bits"),
+            ("raw", b"\xb5\x48", "packed data has nonzero padding bits after bit 12"),
+            ("seed", b"\x6e\x92\x00", "packed data holds 3 bytes, expected 2 for 15 bits"),
+            ("seed", b"\x6e\x93", "packed data has nonzero padding bits after bit 15"),
+        ],
+        ids=["raw-extra-byte", "raw-short", "raw-padding", "seed-extra-byte", "seed-padding"],
+    )
+    def test_packed_file_length_is_exact(self, capsys, tmp_path, target, data, message):
+        files = {"raw": b"\xb5\x40", "seed": b"\x6e\x92", target: data}
+        for name, content in files.items():
+            (tmp_path / name).write_bytes(content)
+        dest = tmp_path / "out"
+        rc, out, err = run(
+            capsys,
+            [
+                "extract", "--input", str(tmp_path / "raw"), "--seed-file", str(tmp_path / "seed"),
+                "--format", "packed", "--n", "12", "--m", "4", "--out", str(dest),
+            ],
+        )
+        assert (rc, out) == (2, "")
+        assert err == f"error[reading bits]: {message}\n"
+        assert not dest.exists()
+
     def test_missing_length_fails(self, capsys, tmp_path):
         raw = tmp_path / "raw.txt"
         seed = tmp_path / "seed.txt"

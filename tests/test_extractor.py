@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from siqrng.extractor import (
     ToeplitzSpec,
+    _fft_length,
     format_bit_string,
     output_length,
     pack_bits,
@@ -21,6 +24,28 @@ GOLDEN = dict(n=3, m=2, seed=(1, 0, 1, 1), raw=(1, 0, 1), out=(0, 1))
 
 def spec_for(n: int, m: int, seed) -> ToeplitzSpec:
     return ToeplitzSpec(input_length=n, output_length=m, seed=np.asarray(seed))
+
+
+def smallest_smooth_at_least(target: int) -> int:
+    """Scan upward from target for the first number with no prime factor above 5."""
+    k = target
+    while True:
+        rest = k
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return k
+        k += 1
+
+
+def reference_parse(text: str) -> np.ndarray:
+    """Whitespace dropped by str.split(), then every remaining character checked on its own."""
+    stripped = "".join(text.split())
+    bad = set(stripped) - {"0", "1"}
+    if bad:
+        raise ValueError(f"bit string contains non-binary characters: {sorted(bad)}")
+    return np.array([int(c) for c in stripped], dtype=np.uint8)
 
 
 def reference_extract(raw, seed, n: int, m: int) -> np.ndarray:
@@ -52,6 +77,22 @@ class TestOutputLength:
             output_length(10.0, 0.0)
         with pytest.raises(ValueError):
             output_length(float("nan"), 0.5)
+
+
+class TestFftLength:
+    def test_matches_brute_force(self):
+        for target in range(1, 5001):
+            assert _fft_length(target) == smallest_smooth_at_least(target)
+
+    @pytest.mark.parametrize("target", [1_500_000, 6_000_000, 15_000_000])
+    def test_large_targets(self, target):
+        for t in (target - 1, target, target + 1):
+            assert _fft_length(t) == smallest_smooth_at_least(t)
+
+    def test_benchmark_blocks(self):
+        # the three postprocess blocks (n, m); powers of two would be 65 536 / 131 072 / 131 072
+        blocks = [(44_571, 10_003), (66_857, 23_199), (89_142, 37_653)]
+        assert [_fft_length(n + m - 1) for n, m in blocks] == [54_675, 91_125, 128_000]
 
 
 class TestSpec:
@@ -123,6 +164,11 @@ class TestExtraction:
             # n + m - 1 just below, at and just above a power of two
             (200, 56), (200, 57), (200, 58), (128, 128), (129, 128),
             (128, 32), (1 << 10, 100), (1 << 13, 200), (1 << 16, 64),
+            # n + m - 1 at and just above other 5-smooth FFT lengths:
+            # 3 * 2**k, 5**k and 3**7 * 5**2 (the smallest postprocess block)
+            (90, 7), (90, 8), (12_000, 289), (12_000, 290),
+            (100, 26), (100, 27), (15_600, 26), (15_600, 27), (78_100, 26), (78_100, 27),
+            (54_600, 76), (54_600, 77),
         ],
     )
     def test_fft_path_is_bit_identical(self, n, m):
@@ -133,6 +179,22 @@ class TestExtraction:
         via_matrix = toeplitz_extract(raw, spec, method="matrix")
         via_fft = toeplitz_extract(raw, spec, method="fft")
         assert np.array_equal(via_matrix, via_fft)
+
+    @pytest.mark.parametrize("n,m", [(44_571, 10_003), (100, 27), (1 << 10, 1)])
+    def test_fft_runs_at_the_smooth_length(self, monkeypatch, n, m):
+        lengths = []
+        for name in ("rfft", "irfft"):
+            transform = getattr(np.fft, name)
+
+            def recording(a, length, transform=transform):
+                lengths.append(length)
+                return transform(a, length)
+
+            monkeypatch.setattr(np.fft, name, recording)
+        rng = np.random.default_rng(n)
+        spec = spec_for(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
+        toeplitz_extract(rng.integers(0, 2, n, dtype=np.uint8), spec)
+        assert lengths == [smallest_smooth_at_least(n + m - 1)] * 3
 
     def test_fft_matches_matrix_on_random_shapes(self):
         rng = np.random.default_rng(41)
@@ -216,6 +278,22 @@ class TestBitSerialization:
         with pytest.raises(ValueError):
             unpack_bits(b"", -1)
 
+    @pytest.mark.parametrize(
+        "data,count,message",
+        [
+            (b"\x00\x00", 8, "packed data holds 2 bytes, expected 1 for 8 bits"),
+            (b"\x80\x00", 1, "packed data holds 2 bytes, expected 1 for 1 bits"),
+            (b"\x00", 0, "packed data holds 1 bytes, expected 0 for 0 bits"),
+            (b"\x01", 7, "packed data has nonzero padding bits after bit 7"),
+            (b"\xff\xc0", 9, "packed data has nonzero padding bits after bit 9"),
+        ],
+        ids=["extra-byte-8", "extra-byte-1", "extra-byte-0", "padding-7", "padding-9"],
+    )
+    def test_unpack_refuses_extra_bytes_and_padding(self, data, count, message):
+        with pytest.raises(ValueError) as caught:
+            unpack_bits(data, count)
+        assert str(caught.value) == message
+
     def test_bit_string_round_trip(self):
         assert format_bit_string(parse_bit_string("0110 1\n01")) == "01101 01".replace(" ", "")
         assert parse_bit_string("").size == 0
@@ -235,3 +313,27 @@ class TestBitSerialization:
             read_bits(packed_path, "packed")
         with pytest.raises(ValueError):
             read_bits(ascii_path, "weird")
+
+
+# 0/1 and what str.split() drops as whitespace, ASCII and not
+BIT_TEXT_CHARS = ["0", "1", *(chr(c) for c in (*range(9, 14), *range(28, 33))), "\x85", "\xa0", "\u2028"]
+NON_BINARY_CHARS = ["2", "a", "/", "\x00", "\x7f", "\xe9"]
+
+
+@given(
+    st.one_of(
+        st.text(alphabet=st.sampled_from(BIT_TEXT_CHARS)),
+        st.text(alphabet=st.sampled_from(BIT_TEXT_CHARS + NON_BINARY_CHARS)),
+    )
+)
+def test_parse_matches_reference(text):
+    try:
+        expected = reference_parse(text)
+    except ValueError as e:
+        with pytest.raises(ValueError) as caught:
+            parse_bit_string(text)
+        assert str(caught.value) == str(e)
+    else:
+        bits = parse_bit_string(text)
+        assert bits.dtype == np.uint8
+        assert np.array_equal(bits, expected)
