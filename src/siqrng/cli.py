@@ -23,6 +23,7 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -37,17 +38,11 @@ from .acquisition import (
     total_epsilon,
     write_counts,
 )
-from .bounds import (
-    MIN_ENTROPY_COEFF,
-    MIN_ENTROPY_COEFF_2DP,
-    finite_size_floor,
-    tomo_rate_asymptotic,
-    witness_rate_asymptotic,
-)
+from .bounds import MIN_ENTROPY_COEFF, MIN_ENTROPY_COEFF_2DP, finite_size_floor
 from .detector import ClickStats, ExperimentConfig, analytic_click_stats, mc_sample
 from .extractor import ToeplitzSpec, format_bit_string, output_length, read_bits, toeplitz_extract, write_bits
 from .optimizer import DEFAULT_MU_GRID, DEFAULT_Q_GRID, optimize
-from .qubit import NonphysicalStateError, QubitTomogram
+from .qubit import _NUMPY_OPS, NonphysicalStateError, QubitTomogram, _bloch_radius, _coherence, binary_entropy_arr
 
 FLOOR_NOTE = (
     "validity floor is ceil((8/5)*log2(2/eps1^2)), e.g. 108 at eps1 = 1e-10; "
@@ -61,6 +56,11 @@ _CONFIG_ECHO = (("N", "n_pulses"), ("q", "q"), ("mu0", "mu0"), ("eta", "eta"), (
 # default grids' size: one rate surface then holds at most 1e6 cells.
 MAX_GRID_POINTS = 1000
 
+# Cap for optimize --refine-levels.  Each level shrinks the refined steps
+# tenfold, so past about 20 levels every admissible grid's step is below
+# float spacing and a level only re-scores the incumbent.
+MAX_REFINE_LEVELS = 30
+
 
 class CliError(Exception):
     def __init__(self, stage: str, message: str):
@@ -72,10 +72,10 @@ class CliError(Exception):
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.9g}"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return f"{value:.9g}"
     return str(value)
 
 
@@ -84,12 +84,12 @@ def _emit(doc: list[tuple[str, object]], out) -> None:
         print(f"{key}: {_fmt(value)}", file=out)
 
 
-def _csv_text(header: list[str], rows: list[list[object]]) -> str:
+def _csv_text(header: list[str], rows: Iterable[Sequence[object]]) -> str:
     lines = [",".join(header), *(",".join(_fmt(v) for v in row) for row in rows)]
     return "\n".join(lines) + "\n"
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[object]]) -> None:
+def _write_csv(path: str, header: list[str], rows: Iterable[Sequence[object]]) -> None:
     Path(path).write_text(_csv_text(header, rows))
 
 
@@ -354,23 +354,17 @@ def cmd_compare(args, out) -> int:
         stage = "rate comparison"
         half = int(math.floor(half))
         axis = np.round(np.arange(-half, half + 1) * step, 12)
-        rows = []
-        worst_gap = math.inf
-        largest_axis_gap = 0.0
-        for x in axis:
-            for y in axis:
-                if x * x + y * y > 1.0 + 1e-9:
-                    continue
-                p_x = (1.0 + x) / 2.0
-                p_y = (1.0 + y) / 2.0
-                r_u = witness_rate_asymptotic(p_x)
-                r_t = tomo_rate_asymptotic(QubitTomogram(p_x=p_x, p_y=p_y, p_z=0.5))
-                gap = r_t - r_u
-                rows.append([x, y, r_u, r_t, gap])
-                worst_gap = min(worst_gap, gap)
-                if y == 0.0:
-                    largest_axis_gap = max(largest_axis_gap, abs(gap))
+        x, y = np.meshgrid(axis, axis, indexing="ij")  # x-major rows
+        inside = x * x + y * y <= 1.0 + 1e-9
+        x, y = x[inside], y[inside]
+        p_x = (1.0 + x) / 2.0
+        # 1 - h(p_x), spelled as 0 - W with W = h(p_x) - log2(2) to match witness_rate_asymptotic bit for bit
+        r_u = 0.0 - (binary_entropy_arr(p_x) - 1.0)
+        with _NUMPY_OPS.quiet():
+            r_t = _coherence(0.5, _bloch_radius(p_x, (1.0 + y) / 2.0, 0.5, _NUMPY_OPS), _NUMPY_OPS)
+        gap = r_t - r_u
         header = ["x", "y", "rate_witness", "rate_tomography", "gap"]
+        rows = zip(*(column.tolist() for column in (x, y, r_u, r_t, gap)))
         if args.out:
             stage = "writing output"
             _write_csv(args.out, header, rows)
@@ -378,9 +372,9 @@ def cmd_compare(args, out) -> int:
                 [
                     ("command", "compare"),
                     ("config.step", step),
-                    ("points", len(rows)),
-                    ("min_gap", worst_gap),
-                    ("max_abs_gap_on_axis", largest_axis_gap),
+                    ("points", x.size),
+                    ("min_gap", float(gap.min())),
+                    ("max_abs_gap_on_axis", float(np.abs(gap[y == 0.0]).max(initial=0.0))),
                     ("out", args.out),
                 ],
                 out,
@@ -444,6 +438,8 @@ def cmd_optimize(args, out) -> int:
         budget = _budget_from_args(args)
         if not 0.0 < args.eta <= 1.0:
             raise ValueError(f"eta must lie in (0, 1]: {args.eta!r}")
+        if args.refine_levels > MAX_REFINE_LEVELS:
+            raise ValueError(f"refine levels {args.refine_levels} exceed the cap of {MAX_REFINE_LEVELS}")
         mu_grid = _parse_grid(args.mu_grid) if args.mu_grid else None
         q_grid = _parse_grid(args.q_grid) if args.q_grid else None
         stage = "optimization"

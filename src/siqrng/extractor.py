@@ -78,11 +78,6 @@ def toeplitz_matrix(spec: ToeplitzSpec) -> np.ndarray:
     return spec.seed[rows - cols + n - 1]
 
 
-def _extract_matrix(spec: ToeplitzSpec, raw: np.ndarray) -> np.ndarray:
-    matrix = toeplitz_matrix(spec).astype(np.float64)
-    return (matrix @ raw.astype(np.float64)).astype(np.int64).astype(np.uint8) & 1
-
-
 def _fft_length(target: int) -> int:
     """The smallest 2**a * 3**b * 5**c >= target, a length numpy's FFT factors into small radices."""
     best = 1 << (target - 1).bit_length()
@@ -115,26 +110,20 @@ def _extract_fft(spec: ToeplitzSpec, raw: np.ndarray) -> np.ndarray:
     return rounded.astype(np.int64).astype(np.uint8) & 1
 
 
-def toeplitz_extract(raw_bits, spec: ToeplitzSpec, method: str = "fft") -> np.ndarray:
+def toeplitz_extract(raw_bits, spec: ToeplitzSpec) -> np.ndarray:
     """Hash raw_bits down to spec.output_length bits.
 
-    method 'fft' (the default) reads row i's sum off entry n - 1 + i of the
-    convolution seed * raw, computed with FFTs of the smallest 5-smooth
-    length (2**a * 3**b * 5**c) >= n + m - 1 in O((n + m) log(n + m)), and
-    raises ValueError when any sum lies more than ROUNDING_MARGIN from an
-    integer.  method 'matrix' evaluates the literal matrix-vector product in
-    O(n * m) memory and is the normative small-n oracle.  Both give
-    bit-identical output.
+    Reads row i's sum off entry n - 1 + i of the convolution seed * raw,
+    computed with FFTs of the smallest 5-smooth length (2**a * 3**b * 5**c)
+    >= n + m - 1 in O((n + m) log(n + m)), and raises ValueError when any
+    sum lies more than ROUNDING_MARGIN from an integer.  The output equals
+    toeplitz_matrix(spec) @ raw mod 2, the product the tests multiply out.
     """
-    if method not in ("fft", "matrix"):
-        raise ValueError(f"unknown method {method!r}")
     raw = _as_bits(raw_bits, "raw_bits")
     if raw.size != spec.input_length:
         raise ValueError(f"raw length {raw.size} != spec input_length {spec.input_length}")
     if spec.output_length == 0:
         return np.zeros(0, dtype=np.uint8)
-    if method == "matrix":
-        return _extract_matrix(spec, raw)
     return _extract_fft(spec, raw)
 
 

@@ -17,8 +17,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import siqrng
-from siqrng.acquisition import POLICIES
-from siqrng.cli import CliError, _shared_parser, build_parser, main
+from siqrng.acquisition import POLICIES, EpsilonBudget
+from siqrng.bounds import tomo_rate_asymptotic, witness_rate_asymptotic
+from siqrng.cli import CliError, _fmt, _shared_parser, build_parser, main
+from siqrng.optimizer import optimize
+from siqrng.qubit import QubitTomogram
 
 COUNTS_TEXT = "X,900,50,50\nY,450,450,100\nZ,4500,4500,1000\n"
 REPO = Path(__file__).resolve().parents[1]
@@ -565,6 +568,30 @@ class TestOptimize:
         assert rc == 2
         assert err.startswith("error[configuration]") and "more than 1000" in err
 
+    @pytest.mark.parametrize("levels", ["31", "2000", "100000000"])
+    def test_oversized_refine_levels_refused(self, capsys, monkeypatch, levels):
+        def no_search(*args, **kwargs):
+            raise AssertionError("optimize ran before the refine levels were checked")
+
+        monkeypatch.setattr("siqrng.cli.optimize", no_search)
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["optimize", "--N", "1e8", "--p", "0.1", "--refine-levels", levels])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2 and out == ""
+        assert err == f"error[configuration]: refine levels {levels} exceed the cap of 30\n"
+
+    @pytest.mark.parametrize("levels", [0, 1, 3, 30])
+    def test_refine_levels_up_to_the_cap_run(self, capsys, levels):
+        rc, out, _ = run(capsys, ["optimize", "--N", "1e8", "--p", "0.1", "--refine-levels", str(levels)])
+        assert rc == 0
+        doc = parse_doc(out)
+        result = optimize(1e8, 0.1, EpsilonBudget.uniform(), refine_levels=levels)
+        assert doc["config.refine_levels"] == str(levels)
+        assert doc["evaluations"] == str(result.evaluations)
+        assert (doc["mu_opt"], doc["q_opt"], doc["rate_opt"]) == tuple(
+            _fmt(v) for v in (result.mu_opt, result.q_opt, result.rate_opt)
+        )
+
 
 class TestCompare:
     def test_csv_to_stdout(self, capsys):
@@ -606,6 +633,40 @@ class TestCompare:
         assert time.perf_counter() - start < 1.0
         assert rc == 2 and out == ""
         assert err == f"error[configuration]: step {float(step)!r} puts more than 1000 points on each axis\n"
+
+    @pytest.mark.parametrize("step", [0.5, 0.25, 0.05, 0.013])
+    def test_rows_match_the_scalar_rates(self, capsys, tmp_path, step):
+        # the per-point loop that the array evaluation replaced, with the public scalar rates
+        half = math.floor((1.0 + 1e-9) / step)
+        axis = np.round(np.arange(-half, half + 1) * step, 12).tolist()
+        rows, gaps, axis_gaps = [], [], [0.0]
+        for x in axis:
+            for y in axis:
+                if x * x + y * y > 1.0 + 1e-9:
+                    continue
+                r_u = witness_rate_asymptotic((1.0 + x) / 2.0)
+                r_t = tomo_rate_asymptotic(QubitTomogram((1.0 + x) / 2.0, (1.0 + y) / 2.0, 0.5))
+                rows.append(",".join(_fmt(v) for v in (x, y, r_u, r_t, r_t - r_u)))
+                gaps.append(r_t - r_u)
+                if y == 0.0:
+                    axis_gaps.append(abs(r_t - r_u))
+        out_csv = tmp_path / "grid.csv"
+        rc, out, _ = run(capsys, ["compare", "--step", str(step), "--out", str(out_csv)])
+        assert rc == 0
+        assert out_csv.read_text().splitlines()[1:] == rows
+        doc = parse_doc(out)
+        assert doc["points"] == str(len(rows))
+        assert doc["min_gap"] == _fmt(min(gaps))
+        assert doc["max_abs_gap_on_axis"] == _fmt(max(axis_gaps))
+
+    def test_no_tomogram_per_point(self, capsys, monkeypatch):
+        def no_tomogram(*args, **kwargs):
+            raise AssertionError("compare built a QubitTomogram")
+
+        monkeypatch.setattr("siqrng.cli.QubitTomogram", no_tomogram)
+        rc, out, err = run(capsys, ["compare", "--step", "0.05"])
+        assert rc == 0 and err == ""
+        assert len(out.splitlines()) == 1 + 1257
 
 
 

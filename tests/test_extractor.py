@@ -48,6 +48,11 @@ def reference_parse(text: str) -> np.ndarray:
     return np.array([int(c) for c in stripped], dtype=np.uint8)
 
 
+def matrix_extract(raw, spec: ToeplitzSpec) -> np.ndarray:
+    """The literal matrix-vector product mod 2, the O(n * m) reference for the FFT path."""
+    return toeplitz_matrix(spec).astype(np.int64) @ np.asarray(raw, dtype=np.int64) % 2
+
+
 def reference_extract(raw, seed, n: int, m: int) -> np.ndarray:
     """Plain double loop over the defining convention T[i][j] = seed[i - j + n - 1]."""
     out = np.zeros(m, dtype=np.uint8)
@@ -176,9 +181,7 @@ class TestExtraction:
         seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
         raw = rng.integers(0, 2, n, dtype=np.uint8)
         spec = spec_for(n, m, seed)
-        via_matrix = toeplitz_extract(raw, spec, method="matrix")
-        via_fft = toeplitz_extract(raw, spec, method="fft")
-        assert np.array_equal(via_matrix, via_fft)
+        assert np.array_equal(toeplitz_extract(raw, spec), matrix_extract(raw, spec))
 
     @pytest.mark.parametrize("n,m", [(44_571, 10_003), (100, 27), (1 << 10, 1)])
     def test_fft_runs_at_the_smooth_length(self, monkeypatch, n, m):
@@ -204,19 +207,7 @@ class TestExtraction:
             seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
             raw = rng.integers(0, 2, n, dtype=np.uint8)
             spec = spec_for(n, m, seed)
-            assert np.array_equal(
-                toeplitz_extract(raw, spec), toeplitz_extract(raw, spec, method="matrix")
-            )
-
-    def test_method_selection(self):
-        spec = spec_for(3, 2, GOLDEN["seed"])
-        assert np.array_equal(
-            toeplitz_extract(GOLDEN["raw"], spec),
-            toeplitz_extract(GOLDEN["raw"], spec, method="matrix"),
-        )
-        for method in ("fancy", "auto", "blocked"):
-            with pytest.raises(ValueError):
-                toeplitz_extract(GOLDEN["raw"], spec, method=method)
+            assert np.array_equal(toeplitz_extract(raw, spec), matrix_extract(raw, spec))
 
     def test_benchmark_sized_block_sampled_rows(self):
         # the matrix oracle would need ~27 GB here, so check sampled rows directly
@@ -241,7 +232,7 @@ class TestExtraction:
         perturb_irfft(n - 1 + m // 2, offset)
         with pytest.raises(ValueError, match="margin"):
             toeplitz_extract(raw, spec)
-        assert toeplitz_extract(raw, spec, method="matrix").size == m
+        assert matrix_extract(raw, spec).size == m
 
     def test_universality_exhaustive_small(self):
         # over every seed, distinct inputs collide on at most a 2^-m fraction
