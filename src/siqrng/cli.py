@@ -354,6 +354,7 @@ def cmd_compare(args, out) -> int:
         stage = "rate comparison"
         half = int(math.floor(half))
         axis = np.round(np.arange(-half, half + 1) * step, 12)
+        axis = axis[np.abs(axis) <= 1.0]  # the 1e-9 slack in half must not add points off the disk
         x, y = np.meshgrid(axis, axis, indexing="ij")  # x-major rows
         inside = x * x + y * y <= 1.0 + 1e-9
         x, y = x[inside], y[inside]

@@ -11,6 +11,7 @@ the output eps2-close to uniform.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,17 +92,45 @@ def _fft_length(target: int) -> int:
     return best
 
 
+_buffers = threading.local()
+
+
+def _spectra(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two complex128 half-spectra of length // 2 + 1 points from this thread's kept buffers.
+
+    The buffers grow to the largest length the thread has hashed and never
+    shrink, so hashing block after block reuses resident pages instead of
+    faulting fresh ones in.  Each thread has its own pair, so no lock is needed.
+    """
+    size = length // 2 + 1
+    pair = getattr(_buffers, "pair", None)
+    if pair is None or pair[0].size < size:
+        _buffers.pair = None  # free the smaller pair before allocating the larger
+        pair = _buffers.pair = (np.empty(size, np.complex128), np.empty(size, np.complex128))
+    return pair[0][:size], pair[1][:size]
+
+
 def _extract_fft(spec: ToeplitzSpec, raw: np.ndarray) -> np.ndarray:
     """Row parities from one circular convolution seed * raw of _fft_length(n + m - 1) points.
 
     Row i's sum is entry n - 1 + i; any length >= n + m - 1 wraps only
     outside the kept rows, and the smallest 5-smooth one is the cheapest.
+    Every FFT-length array lives in the two buffers from _spectra: the seed
+    is staged in the second buffer's float view, its spectrum goes to the
+    first, the raw spectrum overwrites the staged seed, and the product's
+    inverse lands in the second buffer's float view again.  The returned
+    bits are a fresh array; the buffers are scratch for the next call.
     """
     n, m = spec.input_length, spec.output_length
     length = _fft_length(n + m - 1)
-    spectrum = np.fft.rfft(spec.seed, length)
-    spectrum *= np.fft.rfft(raw, length)
-    sums = np.fft.irfft(spectrum, length)[n - 1 : n - 1 + m]
+    spectrum, other = _spectra(length)
+    staged = other.view(np.float64)[:length]
+    staged[: spec.seed.size] = spec.seed
+    staged[spec.seed.size :] = 0.0
+    np.fft.rfft(staged, out=spectrum)
+    np.fft.rfft(raw, length, out=other)
+    spectrum *= other
+    sums = np.fft.irfft(spectrum, length, out=staged)[n - 1 : n - 1 + m]
     rounded = np.rint(sums)
     sums -= rounded
     error = float(np.abs(sums, out=sums).max())
@@ -118,6 +147,8 @@ def toeplitz_extract(raw_bits, spec: ToeplitzSpec) -> np.ndarray:
     >= n + m - 1 in O((n + m) log(n + m)), and raises ValueError when any
     sum lies more than ROUNDING_MARGIN from an integer.  The output equals
     toeplitz_matrix(spec) @ raw mod 2, the product the tests multiply out.
+    The transforms run in buffers the calling thread keeps for its later
+    calls, about 16 bytes per FFT point of the longest hash it has run.
     """
     raw = _as_bits(raw_bits, "raw_bits")
     if raw.size != spec.input_length:

@@ -39,6 +39,10 @@ counts_strategy = st.builds(
 BUDGET = EpsilonBudget.uniform()
 BALANCED = (450, 450, 100)
 Z_COUNTS = (4500, 4500, 1000)
+# X and Y counts (equal in both bases) whose adjusted Bloch radius is 1 + 2e-9
+# and 1 + 5e-10, either side of PHYSICALITY_TOL, with Z balanced as EDGE_Z
+PHYSICALITY_EDGE_COUNTS = ((8.5355339164e19, 1.4644660836e19, 0), (8.5355339111e19, 1.4644660889e19, 0))
+EDGE_Z = (5e19, 5e19, 0)
 
 
 def cert_of(x=BALANCED, y=BALANCED, z=Z_COUNTS, budget=BUDGET, policy="discard", n_pulses=1e12):
@@ -277,6 +281,20 @@ class TestCertify:
                 assert cert.status == "nonphysical"
                 assert cert.radius == pytest.approx(1.72029686757, rel=1e-10)
                 assert cert.net_bits == 0.0 and cert.rate_per_pulse == 0.0
+
+    @pytest.mark.parametrize("policy", ["discard", "assign"])
+    def test_physicality_tolerance_boundary(self, policy):
+        # at 1e20 clicks per basis theta is 3.4e-10, so the adjusted radius sits where the counts put it
+        beyond, within = PHYSICALITY_EDGE_COUNTS
+        for cert in both_backends(beyond, beyond, EDGE_Z, n_pulses=1e21, policy=policy):
+            assert cert.radius - 1.0 == pytest.approx(2e-9, abs=1e-10)
+            assert cert.status == "nonphysical"
+            assert cert.net_bits == 0.0
+        for cert in both_backends(within, within, EDGE_Z, n_pulses=1e21, policy=policy):
+            assert cert.radius - 1.0 == pytest.approx(5e-10, abs=1e-10)
+            assert cert.status == "ok"
+            assert cert.coherence == 1.0  # h(1/2) - h((1 + min(r, 1)) / 2): the radius is clamped
+            assert cert.net_bits > 0.0
 
     def test_below_floor_certifies_nothing(self):
         for cert in both_backends((900, 50, 50), BALANCED, (40, 40, 10), n_pulses=12000):

@@ -172,6 +172,20 @@ class TestRate:
         assert rc == 2 and out == ""
         assert err.startswith("error[coherence]: Bloch vector length 1.72029686757 exceeds 1")
 
+    @pytest.mark.parametrize("policy", ["discard", "assign"])
+    def test_physicality_tolerance_boundary(self, capsys, tmp_path, policy):
+        # 1e20 clicks per basis: theta is 3.4e-10, so the adjusted radius is 1 + 2e-9, then 1 + 5e-10
+        path = tmp_path / "counts.txt"
+        path.write_text("X,8.5355339164e19,1.4644660836e19,0\nY,8.5355339164e19,1.4644660836e19,0\nZ,5e19,5e19,0\n")
+        rc, out, err = run(capsys, ["rate", "--counts", str(path), "--N", "1e21", "--policy", policy])
+        assert rc == 2 and out == ""
+        assert err.startswith("error[coherence]: Bloch vector length 1.000000002 exceeds 1")
+        path.write_text("X,8.5355339111e19,1.4644660889e19,0\nY,8.5355339111e19,1.4644660889e19,0\nZ,5e19,5e19,0\n")
+        rc, out, err = run(capsys, ["rate", "--counts", str(path), "--N", "1e21", "--policy", policy])
+        assert rc == 0 and err == ""
+        doc = parse_doc(out)
+        assert doc["status"] == "ok" and doc["coherence"] == "1"  # the radius is clamped to 1
+
     def test_below_floor_is_refused(self, capsys, tmp_path):
         # n_z = 90 is below the floor of 108 at eps1 = 1e-10
         path = tmp_path / "counts.txt"
@@ -658,6 +672,22 @@ class TestCompare:
         assert doc["points"] == str(len(rows))
         assert doc["min_gap"] == _fmt(min(gaps))
         assert doc["max_abs_gap_on_axis"] == _fmt(max(axis_gaps))
+
+    @pytest.mark.parametrize(
+        "step,coords",
+        [
+            # 2 * step = 1.0000000004 is inside the half-axis slack of 1e-9 but off the disk
+            ("0.5000000002", {"-0.5", "0", "0.5"}),
+            ("0.3333333334", {"-0.666666667", "-0.333333333", "0", "0.333333333", "0.666666667"}),
+            ("0.5", {"-1", "-0.5", "0", "0.5", "1"}),
+        ],
+    )
+    def test_axis_stays_on_the_disk(self, capsys, step, coords):
+        rc, out, err = run(capsys, ["compare", "--step", step])
+        assert rc == 0 and err == ""
+        points = [line.split(",")[:2] for line in out.splitlines()[1:]]
+        assert all(abs(float(v)) <= 1.0 for point in points for v in point)
+        assert {v for point in points for v in point} == coords
 
     def test_no_tomogram_per_point(self, capsys, monkeypatch):
         def no_tomogram(*args, **kwargs):

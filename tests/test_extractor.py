@@ -1,4 +1,7 @@
 import itertools
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from siqrng.extractor import (
     ToeplitzSpec,
     _fft_length,
+    _spectra,
     format_bit_string,
     output_length,
     pack_bits,
@@ -188,10 +192,12 @@ class TestExtraction:
         lengths = []
         for name in ("rfft", "irfft"):
             transform = getattr(np.fft, name)
+            # numpy's default transform length when n is not given
+            default = len if name == "rfft" else (lambda a: 2 * (len(a) - 1))
 
-            def recording(a, length, transform=transform):
-                lengths.append(length)
-                return transform(a, length)
+            def recording(a, n=None, *args, transform=transform, default=default, **kwargs):
+                lengths.append(default(a) if n is None else n)
+                return transform(a, n, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, recording)
         rng = np.random.default_rng(n)
@@ -224,7 +230,7 @@ class TestExtraction:
             assert out[i] == parity
 
     @pytest.mark.parametrize("offset", [0.4, 0.6])  # 0.6 would round to the wrong integer
-    def test_rounding_guard_fires(self, perturb_irfft, offset):
+    def test_rounding_guard_fires(self, monkeypatch, perturb_irfft, offset):
         n, m = 64, 24
         rng = np.random.default_rng(61)
         spec = spec_for(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
@@ -233,6 +239,9 @@ class TestExtraction:
         with pytest.raises(ValueError, match="margin"):
             toeplitz_extract(raw, spec)
         assert matrix_extract(raw, spec).size == m
+        # the perturbed sums were left in this thread's buffers; the next call must not see them
+        monkeypatch.undo()
+        assert np.array_equal(toeplitz_extract(raw, spec), matrix_extract(raw, spec))
 
     def test_universality_exhaustive_small(self):
         # over every seed, distinct inputs collide on at most a 2^-m fraction
@@ -250,6 +259,72 @@ class TestExtraction:
                 if np.array_equal(toeplitz_extract(x, spec), toeplitz_extract(y, spec)):
                     collisions += 1
             assert collisions / seeds.shape[0] <= 2.0**-m + 1e-12
+
+
+class TestBufferReuse:
+    """Every FFT-length array lives in per-thread buffers that later calls reuse."""
+
+    @staticmethod
+    def case(n: int, m: int, seed: int):
+        rng = np.random.default_rng(seed)
+        spec = spec_for(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
+        raw = rng.integers(0, 2, n, dtype=np.uint8)
+        return raw, spec, matrix_extract(raw, spec)
+
+    def test_interleaved_shapes(self):
+        # large, small, large again, then the one-row and one-column extremes
+        cases = [self.case(n, m, seed) for seed, (n, m) in enumerate(
+            [(3000, 1400), (40, 9), (2600, 1700), (700, 1), (1, 1)]
+        )]
+        results = []
+        for raw, spec, expected in cases:
+            results.append(toeplitz_extract(raw, spec))
+            assert np.array_equal(results[-1], expected)
+        # a result returned earlier is not a view into buffers that later calls overwrote
+        for result, (_, _, expected) in zip(results, cases):
+            assert np.array_equal(result, expected)
+
+    def test_stale_buffer_contents_are_ignored(self):
+        # n + m - 1 = 4299 pads to 4320, so the staged seed has a tail to clear
+        raw, spec, expected = self.case(2600, 1700, 5)
+        for buffer in _spectra(_fft_length(2600 + 1700 - 1)):
+            buffer.fill(np.nan)
+        assert np.array_equal(toeplitz_extract(raw, spec), expected)
+
+    def test_threads_hash_at_once(self):
+        shapes = [[(1500, 700), (60, 5), (900, 900)], [(2000, 300), (1, 1)],
+                  [(257, 31), (1200, 1100), (800, 2)], [(1024, 1024), (333, 100)]]
+        work = [[self.case(n, m, 100 * t + k) for k, (n, m) in enumerate(row)] for t, row in enumerate(shapes)]
+
+        def hash_all(cases):
+            return [[toeplitz_extract(raw, spec) for raw, spec, _ in cases] for _ in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible while they hash
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                outputs = list(pool.map(hash_all, work, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for cases, rounds in zip(work, outputs):
+            for results in rounds:
+                for result, (_, _, expected) in zip(results, cases):
+                    assert np.array_equal(result, expected)
+
+    def test_repeat_call_allocates_less_than_one_fft_buffer(self):
+        # the largest postprocess block; a call that allocated its own FFT arrays peaks near 22 * L bytes
+        n, m = 89_142, 37_653
+        rng = np.random.default_rng(67)
+        spec = spec_for(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
+        raw = rng.integers(0, 2, n, dtype=np.uint8)
+        toeplitz_extract(raw, spec)  # warm-up: this thread's buffers grow to this length
+        tracemalloc.start()
+        try:
+            toeplitz_extract(raw, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * _fft_length(n + m - 1)
 
 
 class TestBitSerialization:
