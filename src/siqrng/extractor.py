@@ -94,15 +94,21 @@ def _fft_length(target: int) -> int:
 
 _buffers = threading.local()
 
+# FFT lengths up to this keep their buffers, at most ~16 MB per thread.
+_KEPT_LENGTH = 1 << 20
+
 
 def _spectra(length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two complex128 half-spectra of length // 2 + 1 points from this thread's kept buffers.
+    """Two complex128 half-spectra of length // 2 + 1 points, from this thread's kept buffers up to _KEPT_LENGTH.
 
-    The buffers grow to the largest length the thread has hashed and never
-    shrink, so hashing block after block reuses resident pages instead of
-    faulting fresh ones in.  Each thread has its own pair, so no lock is needed.
+    The buffers grow to the largest kept length the thread has hashed and
+    never shrink, so hashing block after block reuses resident pages instead
+    of faulting fresh ones in.  Each thread has its own pair, so no lock is
+    needed.  A longer hash gets a pair of its own, freed when the call returns.
     """
     size = length // 2 + 1
+    if length > _KEPT_LENGTH:
+        return np.empty(size, np.complex128), np.empty(size, np.complex128)
     pair = getattr(_buffers, "pair", None)
     if pair is None or pair[0].size < size:
         _buffers.pair = None  # free the smaller pair before allocating the larger
@@ -148,7 +154,9 @@ def toeplitz_extract(raw_bits, spec: ToeplitzSpec) -> np.ndarray:
     sum lies more than ROUNDING_MARGIN from an integer.  The output equals
     toeplitz_matrix(spec) @ raw mod 2, the product the tests multiply out.
     The transforms run in buffers the calling thread keeps for its later
-    calls, about 16 bytes per FFT point of the longest hash it has run.
+    calls, 16 bytes per FFT point of the longest hash it has run up to
+    2**20 points (about 16 MB); a longer hash allocates its own and keeps
+    nothing.
     """
     raw = _as_bits(raw_bits, "raw_bits")
     if raw.size != spec.input_length:

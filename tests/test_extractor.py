@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from siqrng import extractor
 from siqrng.extractor import (
     ToeplitzSpec,
     _fft_length,
@@ -310,6 +311,22 @@ class TestBufferReuse:
             for results in rounds:
                 for result, (_, _, expected) in zip(results, cases):
                     assert np.array_equal(result, expected)
+
+    def test_longer_hashes_keep_nothing(self, monkeypatch):
+        # lengths 4400 and 4320 pass the cap and get pairs of their own; 48, 700 and 2000 are kept
+        monkeypatch.setattr(extractor, "_KEPT_LENGTH", 2048)
+        cases = [self.case(n, m, seed) for seed, (n, m) in enumerate(
+            [(3000, 1400), (40, 9), (700, 1), (1500, 500), (2600, 1700)]
+        )]
+
+        def hash_all():
+            return [toeplitz_extract(raw, spec) for raw, spec, _ in cases], extractor._buffers.pair[0].size
+
+        with ThreadPoolExecutor(max_workers=1) as pool:  # a fresh thread, with no buffers kept yet
+            results, kept = pool.submit(hash_all).result(timeout=60)
+        for result, (_, _, expected) in zip(results, cases):
+            assert np.array_equal(result, expected)
+        assert kept == _fft_length(1500 + 500 - 1) // 2 + 1
 
     def test_repeat_call_allocates_less_than_one_fft_buffer(self):
         # the largest postprocess block; a call that allocated its own FFT arrays peaks near 22 * L bytes
