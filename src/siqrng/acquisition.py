@@ -302,7 +302,8 @@ def format_counts(record: ClickRecord) -> str:
 
 
 def read_counts(path: str | Path) -> ClickRecord:
-    return parse_counts(Path(path).read_text())
+    """The counts document at path, read in one bytes read and decoded as UTF-8."""
+    return parse_counts(Path(path).read_bytes().decode())
 
 
 def write_counts(path: str | Path, record: ClickRecord) -> None:

@@ -23,7 +23,7 @@ import functools
 import json
 import math
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +61,8 @@ MAX_GRID_POINTS = 1000
 # float spacing and a level only re-scores the incumbent.
 MAX_REFINE_LEVELS = 30
 
+_CSV_CHUNK_ROWS = 4096  # rows per CSV write, at most ~0.35 MB of text
+
 
 class CliError(Exception):
     def __init__(self, stage: str, message: str):
@@ -70,6 +72,8 @@ class CliError(Exception):
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # the commonest case, by identity
+        return f"{value:.9g}"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -80,17 +84,22 @@ def _fmt(value) -> str:
 
 
 def _emit(doc: list[tuple[str, object]], out) -> None:
-    for key, value in doc:
-        print(f"{key}: {_fmt(value)}", file=out)
+    out.write("".join([f"{key}: {_fmt(value)}\n" for key, value in doc]))
 
 
-def _csv_text(header: list[str], rows: Iterable[Sequence[object]]) -> str:
-    lines = [",".join(header), *(",".join(_fmt(v) for v in row) for row in rows)]
-    return "\n".join(lines) + "\n"
+def _write_csv(out, header: list[str], columns: Sequence[Sequence[object]]) -> None:
+    """Write header and the rows of equal-length columns to out, at most _CSV_CHUNK_ROWS rows per write.
 
-
-def _write_csv(path: str, header: list[str], rows: Iterable[Sequence[object]]) -> None:
-    Path(path).write_text(_csv_text(header, rows))
+    float64 array columns print as "%.9g", _fmt's float text, in one format per row; any other
+    column goes through _fmt, since "%.9g" prints the int 1234567890 as 1.23456789e+09.
+    """
+    floats = [isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns]
+    line = ",".join("%.9g" if f else "%s" for f in floats) + "\n"
+    out.write(",".join(header) + "\n")
+    for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        parts = (c[start : start + _CSV_CHUNK_ROWS] for c in columns)
+        cells = [part.tolist() if f else list(map(_fmt, part)) for part, f in zip(parts, floats)]
+        out.write("".join([line % row for row in zip(*cells)]))
 
 
 def _budget_from_args(args) -> EpsilonBudget:
@@ -336,7 +345,8 @@ def cmd_rate(args, out) -> int:
                 "net_bits",
                 "rate_per_pulse",
             ]
-            _write_csv(args.out, header, [[getattr(cert, key) for key in header]])
+            with open(args.out, "w") as csv:
+                _write_csv(csv, header, [[getattr(cert, key)] for key in header])
         return 0
     except (ValueError, OSError) as e:
         raise CliError(stage, str(e)) from e
@@ -365,10 +375,11 @@ def cmd_compare(args, out) -> int:
             r_t = _coherence(0.5, _bloch_radius(p_x, (1.0 + y) / 2.0, 0.5, _NUMPY_OPS), _NUMPY_OPS)
         gap = r_t - r_u
         header = ["x", "y", "rate_witness", "rate_tomography", "gap"]
-        rows = zip(*(column.tolist() for column in (x, y, r_u, r_t, gap)))
+        columns = (x, y, r_u, r_t, gap)
         if args.out:
             stage = "writing output"
-            _write_csv(args.out, header, rows)
+            with open(args.out, "w") as csv:
+                _write_csv(csv, header, columns)
             _emit(
                 [
                     ("command", "compare"),
@@ -381,7 +392,7 @@ def cmd_compare(args, out) -> int:
                 out,
             )
         else:
-            out.write(_csv_text(header, rows))
+            _write_csv(out, header, columns)
         return 0
     except (ValueError, OSError) as e:
         raise CliError(stage, str(e)) from e
@@ -477,7 +488,8 @@ def cmd_optimize(args, out) -> int:
         _emit(doc, out)
         if args.trace_out:
             stage = "writing output"
-            _write_csv(args.trace_out, ["mu", "q", "rate"], result.trace.tolist())
+            with open(args.trace_out, "w") as csv:
+                _write_csv(csv, ["mu", "q", "rate"], result.trace.T)
         return 0
     except (ValueError, OSError) as e:
         raise CliError(stage, str(e)) from e
@@ -523,7 +535,7 @@ def cmd_extract(args, out) -> int:
                 out,
             )
         else:
-            print(format_bit_string(result), file=out)
+            out.write(format_bit_string(result) + "\n")
         return 0
     except (ValueError, OSError) as e:
         raise CliError(stage, str(e)) from e

@@ -191,16 +191,19 @@ def unpack_bits(data: bytes, count: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count)
 
 
+def _ascii_bits(data: bytes) -> np.ndarray | None:
+    """data split on ASCII whitespace as bits, or None if a byte is not 0/1 (uint8 wraps, so others land above 1)."""
+    bits = np.frombuffer(b"".join(data.split()), dtype=np.uint8) - ord("0")
+    return None if np.any(bits > 1) else bits
+
+
 def parse_bit_string(text: str) -> np.ndarray:
     """The 0/1 characters of text as bits, ignoring whitespace; ValueError names any other character."""
     stripped = "".join(text.split())
-    if stripped.isascii():
-        # uint8 wraps, so every byte other than "0" and "1" lands above 1
-        bits = np.frombuffer(stripped.encode("ascii"), dtype=np.uint8) - ord("0")
-        if not np.any(bits > 1):
-            return bits
-    bad = set(stripped) - {"0", "1"}
-    raise ValueError(f"bit string contains non-binary characters: {sorted(bad)}")
+    bits = _ascii_bits(stripped.encode("ascii")) if stripped.isascii() else None
+    if bits is None:
+        raise ValueError(f"bit string contains non-binary characters: {sorted(set(stripped) - {'0', '1'})}")
+    return bits
 
 
 def format_bit_string(bits) -> str:
@@ -209,7 +212,9 @@ def format_bit_string(bits) -> str:
 
 def read_bits(path: str | Path, fmt: str = "ascii", count: int | None = None) -> np.ndarray:
     if fmt == "ascii":
-        return parse_bit_string(Path(path).read_text())
+        data = Path(path).read_bytes()
+        bits = _ascii_bits(data)  # None: other whitespace or characters, for the text parser to drop or name
+        return parse_bit_string(data.decode()) if bits is None else bits
     if fmt == "packed":
         if count is None:
             raise ValueError("packed format needs an explicit bit count")
@@ -218,8 +223,13 @@ def read_bits(path: str | Path, fmt: str = "ascii", count: int | None = None) ->
 
 
 def write_bits(path: str | Path, bits, fmt: str = "ascii") -> None:
+    """Truncate path and write bits to it: ASCII 0/1 bytes and a newline, or packed.
+
+    Truncating costs ~4x an overwrite in place on ext4 (0.12 ms for 37 KB; auto_da_alloc flushes on close),
+    but an overwrite could leave old and new random bits mixed after a crash; temp file + os.replace: 0.26 ms.
+    """
     if fmt == "ascii":
-        Path(path).write_text(format_bit_string(bits) + "\n")
+        Path(path).write_bytes((_as_bits(bits, "bits") + ord("0")).tobytes() + b"\n")
     elif fmt == "packed":
         Path(path).write_bytes(pack_bits(bits))
     else:

@@ -74,3 +74,26 @@ def per_pulse_sample(config, seed: int):
             )
         )
     return ClickStats(*counts, *pulses)
+
+
+def reference_fmt(value) -> str:
+    """Reference report formatting: bool, int and float by isinstance, everything else by str."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    return str(value)
+
+
+def reference_emit(doc, out) -> None:
+    """Reference report writer: one print per 'key: value' line."""
+    for key, value in doc:
+        print(f"{key}: {reference_fmt(value)}", file=out)
+
+
+def reference_csv_text(header, rows) -> str:
+    """Reference CSV text: the header, then every value of every row through reference_fmt, held whole."""
+    lines = [",".join(header), *(",".join(reference_fmt(v) for v in row) for row in rows)]
+    return "\n".join(lines) + "\n"

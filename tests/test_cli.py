@@ -17,11 +17,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import siqrng
-from siqrng.acquisition import POLICIES, EpsilonBudget
+from siqrng import cli
+from siqrng.acquisition import POLICIES, EpsilonBudget, parse_counts, read_counts
 from siqrng.bounds import tomo_rate_asymptotic, witness_rate_asymptotic
-from siqrng.cli import CliError, _fmt, _shared_parser, build_parser, main
+from siqrng.cli import _CSV_CHUNK_ROWS, CliError, _emit, _fmt, _parse_grid, _shared_parser, _write_csv, build_parser, main
+from siqrng.extractor import parse_bit_string, read_bits
 from siqrng.optimizer import optimize
 from siqrng.qubit import QubitTomogram
+
+from conftest import reference_csv_text, reference_emit
 
 COUNTS_TEXT = "X,900,50,50\nY,450,450,100\nZ,4500,4500,1000\n"
 REPO = Path(__file__).resolve().parents[1]
@@ -542,6 +546,27 @@ class TestOptimize:
         assert lines[0] == "mu,q,rate"
         assert len(lines) == int(doc["evaluations"]) + 1
 
+    @pytest.mark.parametrize(
+        "flags,kwargs",
+        [
+            (
+                ["--N", "1e7", "--p", "0.1", "--eta", "0.5", "--mu-grid", "0.6:1.2:0.1", "--q-grid", "0.01:0.05:0.01",
+                 "--refine-levels", "1"],
+                dict(n_pulses=1e7, p_mix=0.1, mu_grid=_parse_grid("0.6:1.2:0.1"), q_grid=_parse_grid("0.01:0.05:0.01"),
+                     refine_levels=1),
+            ),
+            (["--N", "1e8", "--p", "0.1"], dict(n_pulses=1e8, p_mix=0.1)),
+        ],
+        ids=["small-grid", "default-grid"],
+    )  # fmt: skip
+    def test_trace_rows_are_the_result_trace(self, capsys, tmp_path, flags, kwargs):
+        trace = tmp_path / "trace.csv"
+        rc, _, err = run(capsys, ["optimize", *flags, "--trace-out", str(trace)])
+        assert rc == 0 and err == ""
+        result = optimize(budget=EpsilonBudget.uniform(), **kwargs)
+        rows = [",".join(_fmt(v) for v in row) for row in result.trace.tolist()]
+        assert trace.read_text().splitlines() == ["mu,q,rate", *rows]
+
     def test_no_positive_rate_is_success(self, capsys):
         rc, out, _ = run(capsys, ["optimize", "--N", "1e4", "--p", "0.1"])
         assert rc == 0
@@ -635,6 +660,36 @@ class TestCompare:
         assert rc == 0 and err == ""
         assert out == out_csv.read_text()
 
+    def test_writes_are_chunked(self, capsys, monkeypatch, tmp_path):
+        # every write to the CSV, file or stdout, holds at most one chunk of rows of at most 85 characters
+        file_writes, stdout_writes = [], []
+
+        def recording_open(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            write = handle.write
+            handle.write = lambda text: (file_writes.append(text), write(text))[1]
+            return handle
+
+        class RecordingStdout(io.StringIO):
+            def write(self, text):
+                stdout_writes.append(text)
+                return super().write(text)
+
+        out_csv = tmp_path / "grid.csv"
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        rc, out, err = run(capsys, ["compare", "--step", "0.005", "--out", str(out_csv)])
+        assert rc == 0 and err == ""
+        stdout = RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["compare", "--step", "0.005"]) == 0
+        rows = int(parse_doc(out)["points"])
+        assert rows > 30 * _CSV_CHUNK_ROWS
+        for writes in (file_writes, stdout_writes):
+            assert "".join(writes) == out_csv.read_text() == stdout.getvalue()
+            assert len(writes) == 1 + -(-rows // _CSV_CHUNK_ROWS)
+            assert max(text.count("\n") for text in writes) == _CSV_CHUNK_ROWS
+            assert max(map(len, writes)) <= _CSV_CHUNK_ROWS * 85
+
     @pytest.mark.parametrize("step", ["1e-4", "0.002", "5e-324"])
     def test_oversized_step_is_refused(self, capsys, monkeypatch, step):
         # refused before any axis is built: an unchecked 1e-4 grid would need far more than 8 GB
@@ -698,6 +753,124 @@ class TestCompare:
         assert rc == 0 and err == ""
         assert len(out.splitlines()) == 1 + 1257
 
+
+
+# What a report or CSV may hold: bools, ints past 2**53, floats with their edge cases, strs, numpy scalars.
+EDGE_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 2.2e-308, 1e16, 2.0**60, 1e22]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), st.floats(allow_subnormal=True, max_value=1e-300, min_value=-1e-300))
+INT64 = st.integers(-(2**63), 2**63 - 1)
+REPORT_VALUES = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.integers(2**53, 2**70),
+    FLOATS,
+    st.text(),
+    FLOATS.map(np.float64),
+    INT64.map(np.int64),
+    st.booleans().map(np.bool_),
+)
+
+
+class TestReportText:
+    @given(st.lists(st.tuples(st.text(), REPORT_VALUES)))
+    def test_emit_matches_reference(self, doc):
+        out, expected = io.StringIO(), io.StringIO()
+        _emit(doc, out)
+        reference_emit(doc, expected)
+        assert out.getvalue() == expected.getvalue()
+
+    @given(st.data(), st.integers(0, 12), st.lists(st.booleans(), min_size=1, max_size=5))
+    def test_csv_matches_reference(self, data, size, float_columns):
+        columns = [
+            np.array(data.draw(st.lists(FLOATS, min_size=size, max_size=size)), dtype=np.float64)
+            if is_float
+            else data.draw(st.lists(REPORT_VALUES, min_size=size, max_size=size))
+            for is_float in float_columns
+        ]
+        header = [f"c{i}" for i in range(len(columns))]
+        out = io.StringIO()
+        _write_csv(out, header, columns)
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+        assert out.getvalue() == reference_csv_text(header, rows)
+
+    def test_csv_chunks_join_to_the_reference(self, monkeypatch):
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 3)
+        columns = [np.arange(10) / 7.0, np.arange(10.0) * 1e20, list(range(2**60, 2**60 + 10))]
+        out = io.StringIO()
+        _write_csv(out, ["a", "b", "c"], columns)
+        rows = zip(columns[0].tolist(), columns[1].tolist(), columns[2])
+        assert out.getvalue() == reference_csv_text(["a", "b", "c"], rows)
+
+
+def _outcome(read, *args):
+    """What a read returns, or the type and text of what it raises."""
+    try:
+        return "ok", read(*args)
+    except (ValueError, OSError) as e:
+        return type(e).__name__, str(e)
+
+
+def oracle_counts(path) -> object:
+    return parse_counts(Path(path).read_text(encoding="utf-8"))
+
+
+def oracle_bits(path, fmt="ascii", count=None) -> np.ndarray:
+    assert fmt == "ascii"
+    return parse_bit_string(Path(path).read_text(encoding="utf-8"))
+
+
+COUNTS_BYTES = {
+    "crlf": b"X,900,50,50\r\nY,450,450,100\r\nZ,4500,4500,1000\r\n",
+    "lone-cr": b"X,900,50,50\rY,450,450,100\rZ,4500,4500,1000\r",
+    "lone-cr-bad-line": b"X,900,50,50\r\rY,450,abc,100\r\nZ,4500,4500,1000",
+    "bom": b"\xef\xbb\xbfX,900,50,50\nY,450,450,100\nZ,4500,4500,1000\n",
+    "invalid-utf8": b"X,900,50,50\nY,450,4\xff50,100\nZ,4500,4500,1000\n",
+    "separators": b"X,900,50,50\x1cY,450,450,100\x1dZ,4500,4500,1000\x1e\x1f\n",
+    "vt-ff": b"X,900,50,50\x0bY,450,450,100\x0cZ,4500,4500,1000\n",
+    "nbsp-em-space": "X,\u00a0900,50,50\u2003\nY,450,450,100\nZ,4500,4500,1000\n".encode(),
+    "non-numeric": "X,900,50,50\nY,450,4é0,100\nZ,4500,4500,1000\n".encode(),
+}
+BITS_BYTES = {
+    "crlf": b"0110\r\n1001\r\n",
+    "lone-cr": b"0110\r1001\r",
+    "bom": b"\xef\xbb\xbf01101001\n",
+    "invalid-utf8": b"0110\xff1001\n",
+    "separators": b"01\x1c10\x1d01\x1e10\x1f01\n",
+    "vt-ff": b"01\x0b10\x0c01\n",
+    "nbsp-em-space": "01\u00a010\u200301\n".encode(),
+    "non-binary": b"0110a1001\n",
+    "non-binary-non-ascii": "01\u00a010é1x\n".encode(),
+    "empty": b"",
+}
+
+
+class TestReadPaths:
+    """read_counts and read_bits read bytes; the oracles decode the file as UTF-8 text and parse that."""
+
+    @pytest.mark.parametrize("data", COUNTS_BYTES.values(), ids=COUNTS_BYTES.keys())
+    def test_counts_match_the_text_read(self, capsys, monkeypatch, tmp_path, data):
+        path = tmp_path / "counts.txt"
+        path.write_bytes(data)
+        assert _outcome(read_counts, path) == _outcome(oracle_counts, path)
+        argv = ["rate", "--counts", str(path), "--N", "12000"]
+        got = run(capsys, argv)
+        monkeypatch.setattr(cli, "read_counts", oracle_counts)
+        assert got == run(capsys, argv)
+
+    @pytest.mark.parametrize("data", BITS_BYTES.values(), ids=BITS_BYTES.keys())
+    def test_bits_match_the_text_read(self, capsys, monkeypatch, tmp_path, data):
+        path = tmp_path / "bits.txt"
+        path.write_bytes(data)
+        got, expected = _outcome(read_bits, path), _outcome(oracle_bits, path)
+        if expected[0] == "ok":
+            assert got[0] == "ok" and got[1].dtype == np.uint8
+            assert np.array_equal(got[1], expected[1])
+        else:
+            assert got == expected
+        argv = ["extract", "--input", str(path), "--seed-file", str(path), "--m", "1"]
+        got = run(capsys, argv)
+        monkeypatch.setattr(cli, "read_bits", oracle_bits)
+        assert got == run(capsys, argv)
 
 
 class TestExtract:
