@@ -41,7 +41,6 @@ from .detector import (
     ClickStats,
     ExperimentConfig,
     analytic_click_stats,
-    double_click_prob,
     mc_sample,
 )
 from .extractor import (
@@ -61,7 +60,6 @@ from .qubit import (
     binary_entropy,
     coherence_rel_entropy,
     shannon_entropy,
-    von_neumann_entropy,
     witness_coherence_bound,
     witness_value,
 )
@@ -85,7 +83,6 @@ __all__ = [
     "binary_entropy",
     "certify",
     "coherence_rel_entropy",
-    "double_click_prob",
     "finite_size_floor",
     "mc_sample",
     "optimize",
@@ -101,7 +98,6 @@ __all__ = [
     "toeplitz_matrix",
     "tomo_rate_asymptotic",
     "unpack_bits",
-    "von_neumann_entropy",
     "witness_coherence_bound",
     "witness_rate_asymptotic",
     "witness_value",

@@ -18,6 +18,7 @@ report the pipeline stage that rejected the input and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -52,6 +53,11 @@ FLOOR_NOTE = (
 # Echoed fields of a simulated configuration, as (report key, attribute).
 _CONFIG_ECHO = (("N", "n_pulses"), ("q", "q"), ("mu0", "mu0"), ("eta", "eta"), ("p", "p_mix"), ("mu", "mu"))
 
+# Certificate attributes the rate report prints under their own names; rate --out writes them as CSV, n_z first.
+_CERT_FIELDS = (
+    "coherence", "n_z", "entropy_bound", "finite_size_penalty", "double_click_cost", "net_bits", "rate_per_pulse",
+)
+
 # Per-axis cap for --mu-grid/--q-grid and compare --step, ten times the
 # default grids' size: one rate surface then holds at most 1e6 cells.
 MAX_GRID_POINTS = 1000
@@ -69,6 +75,17 @@ class CliError(Exception):
         super().__init__(stage, message)
         self.stage = stage
         self.message = message
+
+
+class _stage(contextlib.AbstractContextManager):
+    """`with _stage(name):` reports a ValueError or OSError raised inside as CliError(name, message)."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __exit__(self, kind, error, traceback):
+        if isinstance(error, (ValueError, OSError)):
+            raise CliError(self.name, str(error)) from error
 
 
 def _fmt(value) -> str:
@@ -151,7 +168,7 @@ def _expand_config_args(argv: list[str]) -> list[str]:
     rest = argv[:pos] + argv[pos + 2 :]
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError covers malformed JSON and bytes that are not UTF-8
         raise CliError("config", f"cannot read {path}: {e}") from e
     if not isinstance(data, dict):
         raise CliError("config", "document must be a JSON object")
@@ -257,13 +274,12 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def cmd_rate(args, out) -> int:
-    stage = "configuration"
-    try:
+    with _stage("configuration"):
         budget = _budget_from_args(args)
-        doc: list[tuple[str, object]] = [("command", "rate"), ("policy", args.policy)]
-        config_echo: list[tuple[str, object]] = []
-        if args.counts or args.counts_inline:
-            stage = "reading counts"
+        if not (args.counts or args.counts_inline or args.simulate):
+            raise ValueError("one of --counts or --simulate is required")
+    if args.counts or args.counts_inline:
+        with _stage("reading counts"):
             if args.counts:
                 record = read_counts(args.counts)
                 source = args.counts
@@ -277,91 +293,69 @@ def cmd_rate(args, out) -> int:
             if clicks > n_pulses:
                 # each pulse yields at most one recorded outcome
                 raise ValueError(f"counts hold {clicks:.9g} clicks, more than the {n_pulses:.9g} pulses")
-            config_echo += [("config.counts", source), ("config.N", n_pulses)]
-        elif args.simulate:
-            config, record, echo = _simulate(args, "--simulate")
-            n_pulses = config.n_pulses
-            config_echo += echo
-        else:
-            raise ValueError("one of --counts or --simulate is required")
-        config_echo += _echo_budget(budget)
-        config_echo.append(("config.policy", args.policy))
+        echo: list[tuple[str, object]] = [("config.counts", source), ("config.N", n_pulses)]
+    else:
+        config, record, echo = _simulate(args, "--simulate")
+        n_pulses = config.n_pulses
 
-        stage = "certification"
+    with _stage("certification"):
         cert = certify(record.x, record.y, record.z, n_pulses, budget, args.policy)
         floor = finite_size_floor(budget.eps1)
-        status = cert.status
-        if status == "no_clicks":
-            empty = next(name for name in "xyz" if not record.basis(name).n > 0)
-            raise CliError("squashing", f"no clicks in basis {empty}")
-        if status == "nonphysical":
-            stage = "coherence"
+    status = cert.status
+    if status == "no_clicks":
+        empty = next(name for name in "xyz" if not record.basis(name).n > 0)
+        raise CliError("squashing", f"no clicks in basis {empty}")
+    if status == "nonphysical":
+        with _stage("coherence"):
             tomogram = QubitTomogram(cert.x.adjusted, cert.y.adjusted, cert.z.adjusted)
             raise NonphysicalStateError(tomogram, cert.radius)
-        if status == "below_floor":
-            raise CliError(
-                "rate assembly",
-                f"finite-size bound invalid: n_z = {cert.n_z!r} is below the floor {floor} "
-                f"for epsilon1 = {budget.eps1!r}",
-            )
-        doc.append(("status", status.replace("_", " ")))
-        doc += config_echo
-        for name, basis in zip("xyz", (cert.x, cert.y, cert.z)):
-            doc += [
-                (f"bounds.{name}.lower", basis.lower),
-                (f"bounds.{name}.upper", basis.upper),
-                (f"worst.{name}", basis.worst),
-                (f"flipped.{name}", basis.flipped),
-                (f"theta.{name}", basis.theta),
-                (f"adjusted.{name}", basis.adjusted),
-            ]
-        if args.policy == "assign":
-            doc.append(("assignment_prob", cert.assignment_prob))
-        else:
-            doc.append(("surviving_raw_bits", cert.surviving_raw_bits))
+    if status == "below_floor":
+        raise CliError(
+            "rate assembly",
+            f"finite-size bound invalid: n_z = {cert.n_z!r} is below the floor {floor} "
+            f"for epsilon1 = {budget.eps1!r}",
+        )
+    doc: list[tuple[str, object]] = [("command", "rate"), ("policy", args.policy), ("status", status.replace("_", " "))]
+    doc += [*echo, *_echo_budget(budget), ("config.policy", args.policy)]
+    for name, basis in zip("xyz", (cert.x, cert.y, cert.z)):
         doc += [
-            ("coherence", cert.coherence),
-            ("n_z", cert.n_z),
-            ("entropy_bound", cert.entropy_bound),
-            ("finite_size_penalty", cert.finite_size_penalty),
-            ("double_click_cost", cert.double_click_cost),
-            ("net_bits", cert.net_bits),
-            ("rate_per_pulse", cert.rate_per_pulse),
-            ("total_epsilon", total_epsilon(budget)),
-            ("finite_size_floor", floor),
-            ("note.finite_size_floor", FLOOR_NOTE),
-            ("penalty_coeff", MIN_ENTROPY_COEFF),
-            ("penalty_coeff_2dp", MIN_ENTROPY_COEFF_2DP),
+            (f"bounds.{name}.lower", basis.lower),
+            (f"bounds.{name}.upper", basis.upper),
+            (f"worst.{name}", basis.worst),
+            (f"flipped.{name}", basis.flipped),
+            (f"theta.{name}", basis.theta),
+            (f"adjusted.{name}", basis.adjusted),
         ]
+    if args.policy == "assign":
+        doc.append(("assignment_prob", cert.assignment_prob))
+    else:
+        doc.append(("surviving_raw_bits", cert.surviving_raw_bits))
+    doc += [(key, getattr(cert, key)) for key in _CERT_FIELDS]
+    doc += [
+        ("total_epsilon", total_epsilon(budget)),
+        ("finite_size_floor", floor),
+        ("note.finite_size_floor", FLOOR_NOTE),
+        ("penalty_coeff", MIN_ENTROPY_COEFF),
+        ("penalty_coeff_2dp", MIN_ENTROPY_COEFF_2DP),
+    ]
+    with _stage("writing output"):
         _emit(doc, out)
         if args.out:
-            stage = "writing output"
-            header = [
-                "n_z",
-                "coherence",
-                "entropy_bound",
-                "finite_size_penalty",
-                "double_click_cost",
-                "net_bits",
-                "rate_per_pulse",
-            ]
+            header = ["n_z", *(key for key in _CERT_FIELDS if key != "n_z")]
             with open(args.out, "w") as csv:
                 _write_csv(csv, header, [[getattr(cert, key)] for key in header])
-        return 0
-    except (ValueError, OSError) as e:
-        raise CliError(stage, str(e)) from e
+    return 0
 
 
 def cmd_compare(args, out) -> int:
-    stage = "configuration"
-    try:
-        step = args.step
+    step = args.step
+    with _stage("configuration"):
         if not 0.0 < step <= 1.0:
             raise ValueError(f"step must lie in (0, 1]: {step!r}")
         half = (1.0 + 1e-9) / step  # each axis holds 2 * floor(half) + 1 points
         if half >= (MAX_GRID_POINTS + 1) // 2:
             raise ValueError(f"step {step!r} puts more than {MAX_GRID_POINTS} points on each axis")
-        stage = "rate comparison"
+    with _stage("rate comparison"):
         half = int(math.floor(half))
         axis = np.round(np.arange(-half, half + 1) * step, 12)
         axis = axis[np.abs(axis) <= 1.0]  # the 1e-9 slack in half must not add points off the disk
@@ -374,10 +368,10 @@ def cmd_compare(args, out) -> int:
         with _NUMPY_OPS.quiet():
             r_t = _coherence(0.5, _bloch_radius(p_x, (1.0 + y) / 2.0, 0.5, _NUMPY_OPS), _NUMPY_OPS)
         gap = r_t - r_u
-        header = ["x", "y", "rate_witness", "rate_tomography", "gap"]
-        columns = (x, y, r_u, r_t, gap)
+    header = ["x", "y", "rate_witness", "rate_tomography", "gap"]
+    columns = (x, y, r_u, r_t, gap)
+    with _stage("writing output"):
         if args.out:
-            stage = "writing output"
             with open(args.out, "w") as csv:
                 _write_csv(csv, header, columns)
             _emit(
@@ -393,24 +387,18 @@ def cmd_compare(args, out) -> int:
             )
         else:
             _write_csv(out, header, columns)
-        return 0
-    except (ValueError, OSError) as e:
-        raise CliError(stage, str(e)) from e
+    return 0
 
 
 def _simulate(args, flag: str) -> tuple[ExperimentConfig, ClickStats, list[tuple[str, object]]]:
     """The model's configuration and click statistics, with their config.* echo."""
-    try:
+    with _stage("configuration"):
         for name in ("N", "q", "mu0"):
             if getattr(args, name) is None:
                 raise ValueError(f"{flag} needs --{name}")
         config = ExperimentConfig(n_pulses=args.N, q=args.q, mu0=args.mu0, eta=args.eta, p_mix=args.p)
-    except ValueError as e:
-        raise CliError("configuration", str(e)) from e
-    try:
+    with _stage("simulation"):
         stats = mc_sample(config, args.seed) if args.mc else analytic_click_stats(config)
-    except ValueError as e:
-        raise CliError("simulation", str(e)) from e
     echo = [(f"config.{key}", getattr(config, name)) for key, name in _CONFIG_ECHO]
     echo.append(("config.source", "mc" if args.mc else "analytic"))
     if args.mc:
@@ -420,33 +408,29 @@ def _simulate(args, flag: str) -> tuple[ExperimentConfig, ClickStats, list[tuple
 
 def cmd_simulate(args, out) -> int:
     _, stats, echo = _simulate(args, "simulate")
-    stage = "writing output"
-    try:
-        doc: list[tuple[str, object]] = [("command", "simulate"), *echo]
-        for name in ("x", "y", "z"):
-            counts = stats.basis(name)
-            doc += [
-                (f"pulses.{name}", getattr(stats, f"pulses_{name}")),
-                (f"counts.{name}.n0", counts.n0),
-                (f"counts.{name}.n1", counts.n1),
-                (f"counts.{name}.nd", counts.nd),
-                (f"counts.{name}.total", counts.n),
-            ]
-            if counts.n > 0:
-                doc.append((f"double_fraction.{name}", counts.nd / counts.n))
+    doc: list[tuple[str, object]] = [("command", "simulate"), *echo]
+    for name in ("x", "y", "z"):
+        counts = stats.basis(name)
+        doc += [
+            (f"pulses.{name}", getattr(stats, f"pulses_{name}")),
+            (f"counts.{name}.n0", counts.n0),
+            (f"counts.{name}.n1", counts.n1),
+            (f"counts.{name}.nd", counts.nd),
+            (f"counts.{name}.total", counts.n),
+        ]
+        if counts.n > 0:
+            doc.append((f"double_fraction.{name}", counts.nd / counts.n))
+    with _stage("writing output"):
         _emit(doc, out)
         if args.out:
             if not args.mc:
                 stats = ClickRecord(*(BasisCounts(*map(round, c)) for c in (stats.x, stats.y, stats.z)))
             write_counts(args.out, stats)
-        return 0
-    except (ValueError, OSError) as e:
-        raise CliError(stage, str(e)) from e
+    return 0
 
 
 def cmd_optimize(args, out) -> int:
-    stage = "configuration"
-    try:
+    with _stage("configuration"):
         budget = _budget_from_args(args)
         if not 0.0 < args.eta <= 1.0:
             raise ValueError(f"eta must lie in (0, 1]: {args.eta!r}")
@@ -454,7 +438,7 @@ def cmd_optimize(args, out) -> int:
             raise ValueError(f"refine levels {args.refine_levels} exceed the cap of {MAX_REFINE_LEVELS}")
         mu_grid = _parse_grid(args.mu_grid) if args.mu_grid else None
         q_grid = _parse_grid(args.q_grid) if args.q_grid else None
-        stage = "optimization"
+    with _stage("optimization"):
         result = optimize(
             n_pulses=args.N,
             p_mix=args.p,
@@ -464,40 +448,37 @@ def cmd_optimize(args, out) -> int:
             q_grid=q_grid,
             refine_levels=args.refine_levels,
         )
-        mu_axis = DEFAULT_MU_GRID if mu_grid is None else mu_grid
-        q_axis = DEFAULT_Q_GRID if q_grid is None else q_grid
-        doc: list[tuple[str, object]] = [
-            ("command", "optimize"),
-            ("status", result.status),
-            ("config.N", args.N),
-            ("config.p", args.p),
-            ("config.eta", args.eta),
-        ]
-        doc += _echo_budget(budget)
-        doc += [
-            ("config.policy", args.policy),
-            ("config.mu_grid", f"{mu_axis[0]:.9g}:{mu_axis[-1]:.9g}:{len(mu_axis)}"),
-            ("config.q_grid", f"{q_axis[0]:.9g}:{q_axis[-1]:.9g}:{len(q_axis)}"),
-            ("config.refine_levels", args.refine_levels),
-            ("mu_opt", result.mu_opt),
-            ("q_opt", result.q_opt),
-            ("mu0_opt", result.mu_opt / args.eta),
-            ("rate_opt", result.rate_opt),
-            ("evaluations", result.evaluations),
-        ]
+    mu_axis = DEFAULT_MU_GRID if mu_grid is None else mu_grid
+    q_axis = DEFAULT_Q_GRID if q_grid is None else q_grid
+    doc: list[tuple[str, object]] = [
+        ("command", "optimize"),
+        ("status", result.status),
+        ("config.N", args.N),
+        ("config.p", args.p),
+        ("config.eta", args.eta),
+    ]
+    doc += _echo_budget(budget)
+    doc += [
+        ("config.policy", args.policy),
+        ("config.mu_grid", f"{mu_axis[0]:.9g}:{mu_axis[-1]:.9g}:{len(mu_axis)}"),
+        ("config.q_grid", f"{q_axis[0]:.9g}:{q_axis[-1]:.9g}:{len(q_axis)}"),
+        ("config.refine_levels", args.refine_levels),
+        ("mu_opt", result.mu_opt),
+        ("q_opt", result.q_opt),
+        ("mu0_opt", result.mu_opt / args.eta),
+        ("rate_opt", result.rate_opt),
+        ("evaluations", result.evaluations),
+    ]
+    with _stage("writing output"):
         _emit(doc, out)
         if args.trace_out:
-            stage = "writing output"
             with open(args.trace_out, "w") as csv:
                 _write_csv(csv, ["mu", "q", "rate"], result.trace.T)
-        return 0
-    except (ValueError, OSError) as e:
-        raise CliError(stage, str(e)) from e
+    return 0
 
 
 def cmd_extract(args, out) -> int:
-    stage = "configuration"
-    try:
+    with _stage("configuration"):
         if args.m is not None:
             m = args.m
         elif args.net_bits is not None:
@@ -506,7 +487,7 @@ def cmd_extract(args, out) -> int:
             raise ValueError("either --m or --net-bits is required")
         if m < 0:
             raise ValueError(f"output length must be nonnegative: {m}")
-        stage = "reading bits"
+    with _stage("reading bits"):
         if args.format == "packed" and args.n is None:
             raise ValueError("packed input needs --n")
         raw = read_bits(args.input, args.format, args.n)
@@ -516,11 +497,11 @@ def cmd_extract(args, out) -> int:
             seed = np.zeros(0, dtype=np.uint8)  # an empty hash uses no seed bits
         else:
             seed = read_bits(args.seed_file, args.format, raw.size + m - 1)
-        stage = "extraction"
+    with _stage("extraction"):
         spec = ToeplitzSpec(input_length=raw.size, output_length=m, seed=seed)
         result = toeplitz_extract(raw, spec)
+    with _stage("writing output"):
         if args.out:
-            stage = "writing output"
             write_bits(args.out, result, args.format)
             _emit(
                 [
@@ -536,9 +517,7 @@ def cmd_extract(args, out) -> int:
             )
         else:
             out.write(format_bit_string(result) + "\n")
-        return 0
-    except (ValueError, OSError) as e:
-        raise CliError(stage, str(e)) from e
+    return 0
 
 
 _COMMANDS = {

@@ -116,26 +116,6 @@ def _outcome_probs(m: np.ndarray, eta: float, to_zero: float = 0.5) -> np.ndarra
     return np.stack([only0, only1, both, none], axis=-1)
 
 
-def double_click_prob(m: int, eta: float, basis: str, p_mix: float = 0.0) -> float:
-    """Probability that an m-photon pulse fires both detectors.
-
-    In the Y and Z arms every photon routes 50/50, giving
-    1 + (1 - eta)^m - 2 (1 - eta/2)^m.  In the X arm only the mixed
-    component routes, so the same expression is weighted by p_mix.
-    """
-    if m < 0 or int(m) != m:
-        raise ValueError(f"photon number must be a nonnegative integer: {m!r}")
-    _check_fraction(eta, "eta")
-    _check_fraction(p_mix, "p_mix")
-    routed = float(_outcome_probs(m, eta)[2])
-    basis = basis.lower()
-    if basis == "x":
-        return p_mix * routed
-    if basis in ("y", "z"):
-        return routed
-    raise ValueError(f"unknown basis {basis!r}")
-
-
 def _photon_pmf(mu0: float) -> np.ndarray:
     """Poisson(mu0) probabilities of 0..m_max photons, the tail lumped into m_max.
 

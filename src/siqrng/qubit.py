@@ -175,11 +175,6 @@ class QubitTomogram:
         return min(r, 1.0)
 
 
-def von_neumann_entropy(tomogram: QubitTomogram) -> float:
-    """Entropy in bits of the state reconstructed from the tomogram."""
-    return binary_entropy((1.0 + tomogram.purity_radius) / 2.0)
-
-
 def coherence_rel_entropy(tomogram: QubitTomogram) -> float:
     """Relative entropy of coherence in the Z eigenbasis, in bits.
 

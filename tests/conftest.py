@@ -39,6 +39,32 @@ def perturb_irfft(monkeypatch):
     return apply
 
 
+def double_click_prob(m: int, eta: float, basis: str, p_mix: float = 0.0) -> float:
+    """Closed-form probability that an m-photon pulse fires both detectors.
+
+    In the Y and Z arms every photon routes 50/50, giving
+    1 + (1 - eta)^m - 2 (1 - eta/2)^m.  In the X arm only the mixed
+    component routes, so the same expression is weighted by p_mix.  The
+    library builds its per-photon-number outcome table another way
+    (`detector._outcome_probs`), which this checks.  eta and p_mix go
+    through the library's [0, 1] check, so a bad fraction cannot reach a
+    comparison.
+    """
+    from siqrng.qubit import _check_fraction
+
+    _check_fraction(eta, "eta")
+    _check_fraction(p_mix, "p_mix")
+    routed = 1.0 + (1.0 - eta) ** m - 2.0 * (1.0 - eta / 2.0) ** m
+    return p_mix * routed if basis == "x" else routed
+
+
+def von_neumann_entropy(tomogram) -> float:
+    """Entropy in bits of the state reconstructed from the tomogram."""
+    from siqrng.qubit import binary_entropy
+
+    return binary_entropy((1.0 + tomogram.purity_radius) / 2.0)
+
+
 def per_pulse_sample(config, seed: int):
     """Reference Monte Carlo: every pulse drawn on its own, for up to 1e6 pulses.
 

@@ -28,10 +28,9 @@ from siqrng.qubit import (
     QubitTomogram,
     binary_entropy,
     coherence_rel_entropy,
-    von_neumann_entropy,
 )
 
-from conftest import random_tomogram_array
+from conftest import random_tomogram_array, von_neumann_entropy
 
 BUDGET = EpsilonBudget.uniform(1e-10)
 

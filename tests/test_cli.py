@@ -150,15 +150,18 @@ class TestRate:
 
     def test_csv_row(self, capsys, counts_file, tmp_path):
         out_csv = tmp_path / "report.csv"
-        rc, out, _ = run(
-            capsys,
-            ["rate", "--counts", str(counts_file), "--N", "12000", "--out", str(out_csv)],
-        )
-        assert rc == 0
-        lines = out_csv.read_text().splitlines()
-        assert lines[0].split(",")[0] == "n_z"
-        assert len(lines) == 2
-        assert lines[1].split(",")[0] == "10000"
+        for policy in POLICIES:
+            rc, out, _ = run(
+                capsys,
+                ["rate", "--counts", str(counts_file), "--N", "12000", "--policy", policy, "--out", str(out_csv)],
+            )
+            assert rc == 0
+            lines = out_csv.read_text().splitlines()
+            assert lines[0] == "n_z,coherence,entropy_bound,finite_size_penalty,double_click_cost,net_bits,rate_per_pulse"
+            assert len(lines) == 2
+            assert lines[1].split(",")[0] == "10000"
+            doc = parse_doc(out)
+            assert lines[1].split(",") == [doc[key] for key in lines[0].split(",")], policy
 
     def test_report_is_pinned(self, capsys, tmp_path):
         path = tmp_path / "golden.txt"
@@ -442,6 +445,89 @@ class TestParser:
         code = "import siqrng.cli; print(siqrng.cli._shared_parser.cache_info().currsize)"
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "0"
+
+
+class BrokenStdout(io.StringIO):
+    """A stdout whose reader has gone away, as under `siqrng compare | head -c 0`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.fixture
+def stage_files(tmp_path, counts_file):
+    """Stand-ins for the F, RAW, SEED, BAD, MISSING and LIST placeholders of staged-failure argv lists."""
+    (tmp_path / "raw.txt").write_text("101")
+    (tmp_path / "seed.txt").write_text("1011")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    return {
+        "F": str(counts_file),
+        "RAW": str(tmp_path / "raw.txt"),
+        "SEED": str(tmp_path / "seed.txt"),
+        "BAD": str(tmp_path / "no-such-dir" / "out"),
+        "MISSING": str(tmp_path / "missing.json"),
+        "LIST": str(tmp_path / "list.json"),
+    }
+
+
+SMALL_GRID = ["--mu-grid", "0.5:1.5:0.25", "--q-grid", "0.01:0.05:0.02"]
+
+
+class TestStages:
+    """Every failure names the pipeline stage that refused it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate", "--counts", "F", "--N", "12000"],
+            ["simulate", "--N", "1e6", "--q", "0.05", "--mu0", "1"],
+            ["optimize", "--N", "1e8", *SMALL_GRID],
+            ["compare", "--step", "0.5"],
+            ["extract", "--input", "RAW", "--seed-file", "SEED", "--n", "3", "--m", "2"],
+        ],
+        ids=["rate", "simulate", "optimize", "compare", "extract"],
+    )
+    def test_failing_stdout_is_writing_output(self, capsys, monkeypatch, stage_files, argv):
+        monkeypatch.setattr(sys, "stdout", BrokenStdout())
+        assert main([stage_files.get(arg, arg) for arg in argv]) == 2
+        assert capsys.readouterr().err == "error[writing output]: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize(
+        "stage, argv",
+        [
+            ("writing output", ["rate", "--counts", "F", "--N", "12000", "--out", "BAD"]),
+            ("writing output", ["simulate", "--N", "1e6", "--q", "0.05", "--mu0", "1", "--out", "BAD"]),
+            ("writing output", ["compare", "--step", "0.5", "--out", "BAD"]),
+            ("writing output", ["optimize", "--N", "1e8", *SMALL_GRID, "--trace-out", "BAD"]),
+            ("config", ["rate", "--config", "MISSING"]),
+            ("config", ["rate", "--config", "LIST"]),
+            ("configuration", ["rate", "--N", "1000"]),
+            ("configuration", ["rate", "--simulate", "--N", "1e6", "--q", "0.05"]),
+            ("simulation", ["rate", "--simulate", "--mc", "--N", "1e6", "--q", "0.01", "--mu0", "1e6"]),
+            ("optimization", ["optimize", "--N", "1e8", "--refine-levels", "-1"]),
+            ("optimization", ["optimize", "--N", "nan"]),
+            ("reading bits", ["extract", "--input", "RAW", "--seed-file", "SEED", "--n", "2", "--m", "1"]),
+            ("reading bits", ["extract", "--input", "RAW", "--seed-file", "SEED", "--format", "packed", "--m", "1"]),
+            ("extraction", ["extract", "--input", "RAW", "--seed-file", "SEED", "--m", "4"]),
+        ],
+        ids=[
+            "rate-out", "simulate-out", "compare-out", "optimize-trace-out", "config-missing", "config-not-object",
+            "rate-no-source", "simulate-no-mu0", "mc-photon-window", "negative-refine-levels", "nan-pulses",
+            "extract-wrong-n", "packed-without-n", "extract-m-above-n",
+        ],
+    )
+    def test_failure_stage(self, capsys, stage_files, stage, argv):
+        rc, _, err = run(capsys, [stage_files.get(arg, arg) for arg in argv])
+        assert rc == 2
+        assert err.startswith(f"error[{stage}]: ") and err.count("\n") == 1
+
+    def test_config_that_is_not_utf8_fails_at_config(self, capsys, tmp_path):
+        # a UnicodeDecodeError used to escape main as a traceback with exit status 1
+        config = tmp_path / "run.json"
+        config.write_bytes(b'{"simulate": true, "N": 1e6\xff}')
+        rc, out, err = run(capsys, ["rate", "--config", str(config)])
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error[config]: cannot read {config}: ") and "can't decode byte 0xff" in err
 
 
 class TestResults:

@@ -11,11 +11,10 @@ from siqrng.detector import (
     _outcome_probs,
     _photon_pmf,
     analytic_click_stats,
-    double_click_prob,
     mc_sample,
 )
 
-from conftest import per_pulse_sample
+from conftest import double_click_prob, per_pulse_sample
 
 BASE = ExperimentConfig(n_pulses=1e6, q=0.05, mu0=1.0, eta=1.0, p_mix=0.1)
 
@@ -127,14 +126,6 @@ class TestDoubleClickProb:
                     assert double_click_prob(m, eta, basis, p_mix) == pytest.approx(
                         expected, abs=1e-12
                     ), (m, eta, basis, p_mix)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            double_click_prob(-1, 0.5, "x")
-        with pytest.raises(ValueError):
-            double_click_prob(2, 1.5, "x")
-        with pytest.raises(ValueError):
-            double_click_prob(2, 0.5, "w")
 
 
 def enumerated_outcomes(m: int, eta: float, routed: bool) -> list[float]:

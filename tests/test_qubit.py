@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from siqrng.bounds import tomo_rate_asymptotic, witness_rate_asymptotic
-from siqrng.detector import ExperimentConfig, double_click_prob
+from siqrng.detector import ExperimentConfig
 from siqrng.qubit import (
     NonphysicalStateError,
     QubitTomogram,
@@ -14,12 +14,11 @@ from siqrng.qubit import (
     binary_entropy_arr,
     coherence_rel_entropy,
     shannon_entropy,
-    von_neumann_entropy,
     witness_coherence_bound,
     witness_value,
 )
 
-from conftest import random_tomogram_array
+from conftest import double_click_prob, random_tomogram_array, von_neumann_entropy
 
 
 def physical_tomograms(count: int, seed: int) -> list[QubitTomogram]:
@@ -251,7 +250,8 @@ def _config(**kwargs) -> ExperimentConfig:
     return ExperimentConfig(**{"n_pulses": 1e6, "q": 0.05, "mu0": 1.0, "eta": 1.0, "p_mix": 0.1, **kwargs})
 
 
-# (parameter name in the message, call that checks it), one per call site
+# (parameter name in the message, call that checks it), one per call site; the double_click rows
+# call the conftest oracle, which checks its fractions with the library's check
 FRACTION_CHECKS = [
     pytest.param("probability", binary_entropy, id="binary_entropy"),
     pytest.param("p_x", lambda v: QubitTomogram(v, 0.5, 0.5), id="tomogram-p_x"),
