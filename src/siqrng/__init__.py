@@ -11,8 +11,7 @@ then distills the certified bits.
 Layout:
 
     qubit        single-qubit tomograms, entropies, witnesses, and the coherence `certify` runs
-    bounds       asymptotic rates, the finite-size penalty and its validity floor
-    acquisition  click records and `certify`, counts to a `Certificate`
+    acquisition  click records, the finite-size penalty and floor, and `certify` to a `Certificate`
     detector     optical threshold-detector model (closed form and Monte Carlo)
     optimizer    grid search over intensity and basis bias
     extractor    Toeplitz hashing and bit-file handling
@@ -20,22 +19,18 @@ Layout:
 """
 
 from .acquisition import (
+    MIN_ENTROPY_COEFF,
     BasisCounts,
     BasisEstimate,
     Certificate,
     ClickRecord,
     EpsilonBudget,
     certify,
+    finite_size_floor,
     parse_counts,
     read_counts,
-    write_counts,
-)
-from .bounds import (
-    MIN_ENTROPY_COEFF,
-    finite_size_floor,
     smoothing_log_term,
-    tomo_rate_asymptotic,
-    witness_rate_asymptotic,
+    write_counts,
 )
 from .detector import (
     ClickStats,
@@ -96,10 +91,8 @@ __all__ = [
     "smoothing_log_term",
     "toeplitz_extract",
     "toeplitz_matrix",
-    "tomo_rate_asymptotic",
     "unpack_bits",
     "witness_coherence_bound",
-    "witness_rate_asymptotic",
     "witness_value",
     "write_bits",
     "write_counts",

@@ -6,14 +6,20 @@ than a point: squashing assigns each double click adversarially, so
     p_j in [n0_j / n_j, (n0_j + nd_j) / n_j].
 
 The certified worst case is the point of the interval closest to 1/2 (bit
-labels are flipped first whenever the whole interval sits below 1/2), then
-a Hoeffding fluctuation term is subtracted and the result floored at 1/2.
-The coherence of the resulting tomogram gives the finite-size min-entropy
-bound, and Z-basis double clicks are paid for either by discarding them or
-by random assignment at a rate chosen to reproduce the worst-case
-probability.  `certify` runs that whole chain, on one run's counts or on
-arrays of counts; the Bloch length and the coherence are `qubit`'s, run on
-the float or the array backend to match the counts.
+labels are flipped first whenever the whole interval sits below 1/2), less a
+Hoeffding fluctuation term and floored at 1/2.  It is the worst because the
+coherence C = h(p_z) - h((1 + r) / 2) is nondecreasing in each |2p - 1|.  C
+of the resulting tomogram gives the output length certified against a
+quantum side channel,
+
+    R >= n_z * C - k * sqrt(n_z * log2(2 / eps1^2)),    k = 4 log2(2 + sqrt(2)),
+
+once n_z clears a floor logarithmic in 1/eps1; k is also exported rounded
+up to 7.09 for reports, since it multiplies a subtracted security term.  Z
+double clicks are paid for by discarding them or by random assignment at
+the rate that reproduces the worst case.  `certify` runs the whole chain on
+one run's counts or on arrays of counts, with `qubit`'s Bloch length and
+coherence on the matching float or array backend.
 """
 
 from __future__ import annotations
@@ -24,10 +30,33 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import MIN_ENTROPY_COEFF, _check_epsilon, finite_size_floor, smoothing_log_term
 from .qubit import PHYSICALITY_TOL, _MATH_OPS, _NUMPY_OPS, _bloch_radius, _coherence, _maximum
 
 POLICIES = ("discard", "assign")
+
+MIN_ENTROPY_COEFF = 4.0 * math.log2(2.0 + math.sqrt(2.0))
+MIN_ENTROPY_COEFF_2DP = 7.09
+
+
+def _check_epsilon(value: float, name: str) -> None:
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie strictly in (0, 1): {value!r}")
+
+
+def smoothing_log_term(epsilon1: float) -> float:
+    """log2(2 / eps1^2), the sample-complexity factor of the finite-size penalty."""
+    _check_epsilon(epsilon1, "epsilon1")
+    return math.log2(2.0 / epsilon1**2)
+
+
+def finite_size_floor(epsilon1: float) -> int:
+    """Smallest Z-basis sample size for which the finite-size bound is valid.
+
+    Uses the exact validity condition n_z >= (8/5) * log2(2 / eps1^2).  The
+    ceiling is taken without a slack tolerance: rounding up is the
+    conservative direction for a validity threshold.
+    """
+    return math.ceil(1.6 * smoothing_log_term(epsilon1))
 
 
 @dataclass(frozen=True)
@@ -189,9 +218,9 @@ def certify(x, y, z, n_pulses: float, budget: EpsilonBudget, policy: str = "disc
 
     Each count is a number or an array, all of one broadcastable shape; with
     arrays every field of the certificate is an array of cells.  Counts must
-    be finite and nonnegative and n_pulses finite and positive, or
-    ValueError is raised.  Cells that cannot be certified are not errors:
-    their status says why, and they certify 0.
+    be finite and nonnegative, n_pulses finite and positive and at least the
+    clicks of every cell, or ValueError is raised.  Cells that cannot be
+    certified are not errors: their status says why, and they certify 0.
     """
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}: {policy!r}")
@@ -205,13 +234,18 @@ def certify(x, y, z, n_pulses: float, budget: EpsilonBudget, policy: str = "disc
         counts = tuple(tuple(np.asarray(c, dtype=float) for c in triple) for triple in counts)
     with ops.quiet():
         bases = []
+        clicks = 0
         for name, (n0, n1, nd) in zip("xyz", counts):
             n = n0 + n1 + nd
             if not ops.valid(n0, n1, nd, n):
                 raise ValueError(f"basis {name.upper()}: counts must be finite and nonnegative")
+            clicks = clicks + n  # not +=: a later basis may broadcast to a larger shape
             eps = budget.for_basis(name)
             theta = ops.sqrt(ops.div(math.log(1.0 / eps) / 2.0, n))  # Hoeffding: exp(-2 theta^2 n) = eps
             bases.append(BasisEstimate(ops.div(n0, n), ops.div(n0 + nd, n), theta))
+        if ops.largest(clicks) > n_pulses:
+            # each pulse yields at most one recorded outcome
+            raise ValueError(f"counts hold {ops.largest(clicks):.9g} clicks, more than the {n_pulses:.9g} pulses")
         n_z = n  # Z is the last basis of the loop
         p_x, p_y, p_z = (b.adjusted for b in bases)
 
@@ -302,8 +336,8 @@ def format_counts(record: ClickRecord) -> str:
 
 
 def read_counts(path: str | Path) -> ClickRecord:
-    """The counts document at path, read in one bytes read and decoded as UTF-8."""
-    return parse_counts(Path(path).read_bytes().decode())
+    """The counts document at path, read in one bytes read and decoded as UTF-8 (a leading BOM is dropped)."""
+    return parse_counts(Path(path).read_bytes().decode("utf-8-sig"))
 
 
 def write_counts(path: str | Path, record: ClickRecord) -> None:

@@ -30,16 +30,18 @@ from pathlib import Path
 import numpy as np
 
 from .acquisition import (
+    MIN_ENTROPY_COEFF,
+    MIN_ENTROPY_COEFF_2DP,
     POLICIES,
     BasisCounts,
     ClickRecord,
     EpsilonBudget,
     certify,
+    finite_size_floor,
     read_counts,
     total_epsilon,
     write_counts,
 )
-from .bounds import MIN_ENTROPY_COEFF, MIN_ENTROPY_COEFF_2DP, finite_size_floor
 from .detector import ClickStats, ExperimentConfig, analytic_click_stats, mc_sample
 from .extractor import ToeplitzSpec, format_bit_string, output_length, read_bits, toeplitz_extract, write_bits
 from .optimizer import DEFAULT_MU_GRID, DEFAULT_Q_GRID, optimize
@@ -167,7 +169,7 @@ def _expand_config_args(argv: list[str]) -> list[str]:
     path = argv[pos + 1]
     rest = argv[:pos] + argv[pos + 2 :]
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, ValueError) as e:  # ValueError covers malformed JSON and bytes that are not UTF-8
         raise CliError("config", f"cannot read {path}: {e}") from e
     if not isinstance(data, dict):
@@ -286,13 +288,7 @@ def cmd_rate(args, out) -> int:
             else:
                 record = _counts_from_inline(args.counts_inline)
                 source = "<inline>"
-            clicks = record.x.n + record.y.n + record.z.n
-            n_pulses = args.N if args.N is not None else clicks
-            if not (math.isfinite(n_pulses) and n_pulses > 0):
-                raise ValueError(f"pulse count must be finite and positive: {n_pulses!r}")
-            if clicks > n_pulses:
-                # each pulse yields at most one recorded outcome
-                raise ValueError(f"counts hold {clicks:.9g} clicks, more than the {n_pulses:.9g} pulses")
+        n_pulses = args.N if args.N is not None else record.x.n + record.y.n + record.z.n
         echo: list[tuple[str, object]] = [("config.counts", source), ("config.N", n_pulses)]
     else:
         config, record, echo = _simulate(args, "--simulate")
@@ -363,7 +359,7 @@ def cmd_compare(args, out) -> int:
         inside = x * x + y * y <= 1.0 + 1e-9
         x, y = x[inside], y[inside]
         p_x = (1.0 + x) / 2.0
-        # 1 - h(p_x), spelled as 0 - W with W = h(p_x) - log2(2) to match witness_rate_asymptotic bit for bit
+        # 1 - h(p_x), spelled as 0 - W with W = h(p_x) - log2(2) to match witness_coherence_bound bit for bit
         r_u = 0.0 - (binary_entropy_arr(p_x) - 1.0)
         with _NUMPY_OPS.quiet():
             r_t = _coherence(0.5, _bloch_radius(p_x, (1.0 + y) / 2.0, 0.5, _NUMPY_OPS), _NUMPY_OPS)

@@ -214,7 +214,7 @@ def read_bits(path: str | Path, fmt: str = "ascii", count: int | None = None) ->
     if fmt == "ascii":
         data = Path(path).read_bytes()
         bits = _ascii_bits(data)  # None: other whitespace or characters, for the text parser to drop or name
-        return parse_bit_string(data.decode()) if bits is None else bits
+        return parse_bit_string(data.decode("utf-8-sig")) if bits is None else bits
     if fmt == "packed":
         if count is None:
             raise ValueError("packed format needs an explicit bit count")

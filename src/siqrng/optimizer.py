@@ -39,12 +39,10 @@ def rate_surface(
     The analytic model's expected counts of every grid point, certified in
     one `certify` call.  A cell whose status is not 'ok' scores 0: its Z
     sample is below the finite-size floor, its tomogram is nonphysical, or
-    it certifies nothing.  A non-finite or nonpositive n_pulses, p_mix
-    outside [0, 1] (NaN included), or an unknown policy raises ValueError
-    rather than scoring the grid.
+    it certifies nothing.  p_mix outside [0, 1] (NaN included), or a value
+    `certify` refuses (a non-finite or nonpositive n_pulses, an unknown
+    policy) raises ValueError rather than scoring the grid.
     """
-    if not (math.isfinite(n_pulses) and n_pulses > 0.0):
-        raise ValueError(f"n_pulses must be finite and positive: {n_pulses!r}")
     if not 0.0 <= p_mix <= 1.0:
         raise ValueError(f"p_mix must lie in [0, 1]: {p_mix!r}")
     mus = np.asarray(mus, dtype=float)
@@ -56,7 +54,8 @@ def rate_surface(
     if np.any(qs <= 0.0) or np.any(qs >= 0.5):
         raise ValueError("q grid must lie in (0, 0.5)")
     # mu down the rows and q along the columns: only the counts are full grids
-    x, y, z = expected_counts(n_pulses, qs[None, :], mus[:, None], p_mix, np.exp)
+    with np.errstate(all="ignore"):  # an infinite n_pulses gives NaN counts; certify refuses it first
+        x, y, z = expected_counts(n_pulses, qs[None, :], mus[:, None], p_mix, np.exp)
     return certify(x, y, z, n_pulses, budget, policy).rate_per_pulse
 
 

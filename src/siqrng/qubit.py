@@ -92,6 +92,7 @@ _MATH_OPS = SimpleNamespace(
     sqrt=lambda a: math.sqrt(a) if a >= 0.0 else math.nan,
     maximum=_maximum,
     minimum=_minimum,
+    largest=lambda a: a,
     entropy=lambda p: p if p != p else binary_entropy(_minimum(_maximum(p, 0.0), 1.0)),
 )
 
@@ -104,6 +105,7 @@ _NUMPY_OPS = SimpleNamespace(
     sqrt=np.sqrt,
     maximum=np.maximum,
     minimum=np.minimum,
+    largest=np.max,
     entropy=binary_entropy_arr,
 )
 
@@ -195,10 +197,6 @@ def witness_value(xi_distribution: Sequence[float]) -> float:
     return shannon_entropy(xi_distribution) - math.log2(len(xi_distribution))
 
 
-def witness_coherence_bound(xi_distribution: Sequence[float], d: int | None = None) -> float:
-    """Certified coherence lower bound -W = log2(d) - H(dist) from witness data."""
-    if d is not None and d != len(xi_distribution):
-        raise ValueError(
-            f"dimension {d} does not match distribution length {len(xi_distribution)}"
-        )
+def witness_coherence_bound(xi_distribution: Sequence[float]) -> float:
+    """Certified coherence lower bound -W = log2(d) - H(dist) from witness data, d = len(dist)."""
     return 0.0 - witness_value(xi_distribution)  # not -W, which is -0.0 for uniform data

@@ -12,14 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from siqrng.acquisition import EpsilonBudget
-from siqrng.bounds import (
-    MIN_ENTROPY_COEFF,
-    MIN_ENTROPY_COEFF_2DP,
-    finite_size_floor,
-    tomo_rate_asymptotic,
-    witness_rate_asymptotic,
-)
+from siqrng.acquisition import MIN_ENTROPY_COEFF, MIN_ENTROPY_COEFF_2DP, EpsilonBudget, finite_size_floor
 from siqrng.cli import main
 from siqrng.detector import ExperimentConfig, analytic_click_stats, mc_sample
 from siqrng.extractor import ToeplitzSpec, toeplitz_extract, toeplitz_matrix
@@ -28,6 +21,7 @@ from siqrng.qubit import (
     QubitTomogram,
     binary_entropy,
     coherence_rel_entropy,
+    witness_coherence_bound,
 )
 
 from conftest import random_tomogram_array, von_neumann_entropy
@@ -44,8 +38,9 @@ def test_01_tomography_dominates_witness_on_unit_disk():
         for y in axis:
             if x * x + y * y > 1.0 + 1e-9:
                 continue
-            r_u = witness_rate_asymptotic((1.0 + x) / 2.0)
-            r_t = tomo_rate_asymptotic(QubitTomogram((1.0 + x) / 2.0, (1.0 + y) / 2.0, 0.5))
+            p_x = (1.0 + x) / 2.0
+            r_u = witness_coherence_bound((p_x, 1.0 - p_x))
+            r_t = coherence_rel_entropy(QubitTomogram(p_x, (1.0 + y) / 2.0, 0.5))
             assert r_t - r_u >= -1e-12, (x, y)
             if y == 0.0:
                 assert abs(r_t - r_u) <= 1e-9, (x, y)
@@ -56,8 +51,8 @@ def test_01_tomography_dominates_witness_on_unit_disk():
 def test_02_circular_state_witness_blind_tomography_full():
     # the state with p_y = 1 looks uniform to the X-basis witness (rate 0)
     # while tomography certifies the full bit
-    assert witness_rate_asymptotic(0.5, 1.0, 1.0) == 0.0
-    rate = tomo_rate_asymptotic(QubitTomogram(0.5, 1.0, 0.5), q_z=1.0, beta=1.0)
+    assert witness_coherence_bound((0.5, 0.5)) == 0.0
+    rate = coherence_rel_entropy(QubitTomogram(0.5, 1.0, 0.5))
     assert abs(rate - 1.0) <= 1e-12
 
 

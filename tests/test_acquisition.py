@@ -1,13 +1,18 @@
+import dataclasses
+import itertools
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siqrng.acquisition import (
+    POLICIES,
     STATUSES,
     BasisCounts,
+    Certificate,
     ClickRecord,
     EpsilonBudget,
     certify,
@@ -18,6 +23,8 @@ from siqrng.acquisition import (
     write_counts,
 )
 from siqrng.qubit import PHYSICALITY_TOL, QubitTomogram, coherence_rel_entropy
+
+from conftest import random_tomogram_array
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -54,11 +61,58 @@ def budget_x(eps_x: float) -> EpsilonBudget:
     return EpsilonBudget(1e-10, 1e-10, eps_x, 1e-10, 1e-10)
 
 
-def both_backends(x=BALANCED, y=BALANCED, z=Z_COUNTS, n_pulses=1e12, policy="discard"):
+def both_backends(x=BALANCED, y=BALANCED, z=Z_COUNTS, n_pulses=1e12, policy="discard", budget=BUDGET):
     """The certificate from plain numbers (math backend) and from 1-element arrays (numpy)."""
-    scalar = certify(x, y, z, n_pulses, BUDGET, policy)
+    scalar = certify(x, y, z, n_pulses, budget, policy)
     arrays = [tuple(np.array([c], dtype=float) for c in triple) for triple in (x, y, z)]
-    return scalar, certify(*arrays, n_pulses, BUDGET, policy)
+    return scalar, certify(*arrays, n_pulses, budget, policy)
+
+
+@st.composite
+def state_runs(draw):
+    """(x, y, z) click counts of a run on a random qubit state, 3e2 to 1e6 clicks and up to 5% doubles per basis."""
+    x = draw(st.floats(-1.0, 1.0))
+    y = draw(st.floats(-1.0, 1.0)) * math.sqrt(1.0 - x * x)
+    z = draw(st.floats(-1.0, 1.0)) * math.sqrt(max(1.0 - x * x - y * y, 0.0))
+    counts = []
+    for v in (x, y, z):
+        n = draw(st.integers(300, 10**6))
+        nd = draw(st.integers(0, n // 20))
+        n0 = round((n - nd) * (1.0 + v) / 2.0)
+        counts.append((n0, n - nd - n0, nd))
+    return tuple(counts)
+
+
+def binary_entropy_grid(p: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.nan_to_num(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
+
+
+def min_physical_coherence(counts, budget=BUDGET) -> float:
+    """Brute force: the least coherence over a grid of the squashed intervals widened by theta, physical points only.
+
+    Each axis holds 41 points from lower - theta to upper + theta, clipped to [0, 1], plus 1/2 when it lies
+    inside; the point of the box closest to 1/2, which certify takes, is then always on the grid.
+    """
+    axes = []
+    for name, (n0, n1, nd) in zip("xyz", counts):
+        n = n0 + n1 + nd
+        theta = math.sqrt(math.log(1.0 / budget.for_basis(name)) / (2.0 * n))
+        low, high = max(n0 / n - theta, 0.0), min((n0 + nd) / n + theta, 1.0)
+        axis = np.linspace(low, high, 41)
+        axes.append(np.append(axis, 0.5) if low <= 0.5 <= high else axis)
+    p_x, p_y, p_z = np.meshgrid(*axes, indexing="ij", sparse=True)
+    radius = np.sqrt((2.0 * p_x - 1.0) ** 2 + (2.0 * p_y - 1.0) ** 2 + (2.0 * p_z - 1.0) ** 2)
+    coherence = binary_entropy_grid(p_z) - binary_entropy_grid((1.0 + radius) / 2.0)
+    return float(coherence[radius <= 1.0].min(initial=math.inf))
+
+
+def flip(counts):
+    return tuple((n1, n0, nd) for n0, n1, nd in counts)
+
+
+def clicks(counts) -> int:
+    return sum(sum(triple) for triple in counts)
 
 
 class TestSquash:
@@ -77,7 +131,7 @@ class TestSquash:
 
     def test_empty_basis_rejected(self):
         # X and Z alone would certify; an empty Y basis must still certify nothing
-        for cert in both_backends(x=(9e6, 5e5, 5e5), y=(0, 0, 0), z=(4.5e7, 4.5e7, 1e7), n_pulses=1e8):
+        for cert in both_backends(x=(9e6, 5e5, 5e5), y=(0, 0, 0), z=(4.5e7, 4.5e7, 1e7), n_pulses=2e8):
             assert cert.status == "no_clicks"
             assert cert.net_bits == 0.0
 
@@ -171,7 +225,7 @@ class TestHoeffding:
         assert cert_of(x=(1, 0, 0), budget=budget_x(math.exp(-2.0))).x.theta == pytest.approx(1.0, rel=1e-14)
 
     def test_vanishes_with_data(self):
-        assert cert_of(x=(1e18, 0, 0)).x.theta < 1e-8
+        assert cert_of(x=(1e18, 0, 0), n_pulses=1e19).x.theta < 1e-8
 
     @given(
         st.floats(min_value=1.0, max_value=1e12),
@@ -203,7 +257,7 @@ class TestFluctuationAdjust:
 
     def test_zero_theta(self):
         # as theta vanishes the adjusted value is the worst case itself
-        b = cert_of(x=(7.7e29, 2.3e29, 0)).x
+        b = cert_of(x=(7.7e29, 2.3e29, 0), n_pulses=1e31).x
         assert b.theta < 1e-14
         assert b.adjusted == pytest.approx(0.77, abs=1e-14)
 
@@ -311,10 +365,10 @@ class TestCertify:
             "ok": ((9e6, 5e5, 5e5), (4.5e6, 4.5e6, 1e6), (4.5e7, 4.5e7, 1e7)),
         }
         x, y, z = (tuple(np.array([run[b][k] for run in cells.values()]) for k in range(3)) for b in range(3))
-        cert = certify(x, y, z, 1e8, BUDGET)
+        cert = certify(x, y, z, 2e8, BUDGET)
         assert cert.status.tolist() == list(cells) and set(cells) == set(STATUSES)
         assert (cert.net_bits > 0).tolist() == [False, False, False, False, True]
-        assert cert.rate_per_pulse[-1] == cert.net_bits[-1] / 1e8
+        assert cert.rate_per_pulse[-1] == cert.net_bits[-1] / 2e8
 
     @given(counts_strategy, counts_strategy, counts_strategy)
     def test_coherence_is_the_tomogram_formula(self, x, y, z):
@@ -351,6 +405,19 @@ class TestCertify:
             else:
                 cert_of(policy="keep")
 
+    def test_clicks_beyond_pulses_refused(self):
+        # 102 million clicks cannot come from 1000 pulses; this used to certify 65 354 bits per pulse
+        counts = ((950000, 25000, 25000), (480000, 480000, 40000), (48000000, 48000000, 4000000))
+        message = "counts hold 102000000 clicks, more than the 1000 pulses"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            certify(*counts, 1000.0, BUDGET)
+        # on arrays, one cell beyond the pulse count refuses the whole call
+        cells = [tuple(np.array([c / 1e6, c]) for c in triple) for triple in counts]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            certify(*cells, 1000.0, BUDGET)
+        for cert in both_backends(*counts, n_pulses=clicks(counts)):  # every pulse clicked: allowed
+            assert cert.status == "ok"
+
     @given(
         entries=st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True),
         value=st.sampled_from([math.nan, math.inf, -math.inf]),
@@ -372,6 +439,76 @@ class TestCertify:
             return
         assert np.all(cert.status != "ok")
         assert np.all(np.asarray(cert.net_bits) <= 0.0)
+
+
+# about one run in six certifies a positive rate, so each property draws more runs than the profile's 100
+PROPERTY_SETTINGS = settings(max_examples=200)
+
+
+class TestSoundness:
+    """Oracles and properties that tie certificates to the physics and to each other, on both backends."""
+
+    def test_worst_case_is_the_brute_force_minimum(self):
+        # C is nondecreasing in each |2p - 1|, so no physical point of the widened box has less coherence
+        rng = np.random.default_rng(2017)
+        checked = 0
+        for p_x, p_y, p_z in random_tomogram_array(150, seed=11):
+            counts = []
+            for p in (p_x, p_y, p_z):
+                n = int(10 ** rng.uniform(math.log10(300), 6))
+                nd = int(rng.integers(0, n // 5 + 1))
+                n0 = int(rng.binomial(n - nd, p))
+                counts.append((n0, n - nd - n0, nd))
+            for record in (tuple(counts), flip(counts)):
+                oracle = min_physical_coherence(record)
+                for cert in both_backends(*record, n_pulses=clicks(record)):
+                    if np.all(cert.physical):
+                        assert np.asarray(cert.coherence).item() <= oracle + 1e-12
+                        checked += 1
+        assert checked >= 500
+
+    @PROPERTY_SETTINGS
+    @given(state_runs(), st.sampled_from([f.name for f in dataclasses.fields(EpsilonBudget)]), st.floats(1e-6, 1.0))
+    def test_smaller_epsilon_never_certifies_more(self, counts, field, shrink):
+        tight = dataclasses.replace(BUDGET, **{field: getattr(BUDGET, field) * shrink})
+        for policy in POLICIES:
+            pairs = zip(both_backends(*counts, policy=policy), both_backends(*counts, policy=policy, budget=tight))
+            for loose, strict in pairs:
+                assert np.asarray(strict.net_bits).item() <= np.asarray(loose.net_bits).item() * (1.0 + 1e-12)
+
+    @PROPERTY_SETTINGS
+    @given(state_runs(), st.integers(0, 2))
+    def test_one_more_discarded_double_click_never_certifies_more(self, counts, basis):
+        more = list(counts)
+        more[basis] = (counts[basis][0], counts[basis][1], counts[basis][2] + 1)
+        for before, after in zip(both_backends(*counts), both_backends(*more)):
+            assert np.asarray(after.net_bits).item() <= np.asarray(before.net_bits).item() * (1.0 + 1e-12)
+
+    @PROPERTY_SETTINGS
+    @given(state_runs())
+    def test_relabeling_leaves_the_certificate(self, counts):
+        x, y, z = counts
+        relabeled = [(flip([x])[0], y, z), (x, flip([y])[0], z), (x, y, flip([z])[0]), (y, x, z)]
+        for policy, moved in itertools.product(POLICIES, relabeled):
+            for cert, other in zip(both_backends(*counts, policy=policy), both_backends(*moved, policy=policy)):
+                for field, scale in (("radius", 1.0), ("coherence", 1.0), ("net_bits", sum(z))):
+                    a, b = (np.asarray(getattr(c, field)).item() for c in (cert, other))
+                    assert a == pytest.approx(b, rel=1e-12, abs=1e-12 * scale)
+
+    @PROPERTY_SETTINGS
+    @given(state_runs(), st.floats(1.0, 1e6))
+    def test_pulse_count_changes_only_the_rate(self, counts, factor):
+        n_pulses = clicks(counts)
+        pairs = zip(both_backends(*counts, n_pulses=n_pulses), both_backends(*counts, n_pulses=n_pulses * factor))
+        for fewer, more in pairs:
+            for field in dataclasses.fields(Certificate):
+                a, b = getattr(fewer, field.name), getattr(more, field.name)
+                if field.name == "rate_per_pulse":
+                    assert b == more.net_bits / (n_pulses * factor)
+                    continue
+                if field.name in ("x", "y", "z"):
+                    a, b = astuple(a), astuple(b)
+                assert np.array_equal(a, b)
 
 
 class TestEpsilonBudget:

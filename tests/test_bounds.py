@@ -5,15 +5,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from siqrng.acquisition import EpsilonBudget, certify
-from siqrng.bounds import (
-    MIN_ENTROPY_COEFF,
-    finite_size_floor,
-    smoothing_log_term,
-    tomo_rate_asymptotic,
-    witness_rate_asymptotic,
-)
-from siqrng.qubit import QubitTomogram, binary_entropy
+from siqrng.acquisition import MIN_ENTROPY_COEFF, EpsilonBudget, certify, finite_size_floor, smoothing_log_term
+from siqrng.qubit import QubitTomogram, binary_entropy, coherence_rel_entropy, witness_coherence_bound
 
 from conftest import random_tomogram_array
 
@@ -80,7 +73,7 @@ class TestMinEntropyBound:
         assert cert.status == "no_positive_rate"
 
     def test_asymptotic_rate_approaches_coherence(self):
-        cert = transverse_cert(0.85, 1e16, 1e16)
+        cert = transverse_cert(0.85, 1e16, 1e16, n_pulses=1e17)
         assert bound(cert) / 1e16 == pytest.approx(cert.coherence, abs=1e-6)
         assert bound(cert) / 1e16 < cert.coherence
 
@@ -111,46 +104,40 @@ class TestMinEntropyBound:
 
 
 class TestAsymptoticRates:
+    """The two asymptotic rates: coherence for tomography, the witness bound of X statistics alone."""
+
     def test_ideal_source(self):
-        assert witness_rate_asymptotic(1.0, 1.0, 1.0) == 1.0
+        assert witness_coherence_bound((1.0, 0.0)) == 1.0
 
     def test_unbiased_transverse_statistics_certify_nothing(self):
-        assert witness_rate_asymptotic(0.5) == 0.0
+        assert witness_coherence_bound((0.5, 0.5)) == 0.0
 
     def test_frozen_value(self):
-        assert witness_rate_asymptotic(0.9, 1.0, 1.0) == pytest.approx(
-            0.5310044064107189, abs=1e-15
-        )
-        assert witness_rate_asymptotic(0.9) == pytest.approx(0.531004, abs=1e-6)
-
-    def test_scaling_factors(self):
-        assert witness_rate_asymptotic(0.9, q=0.5, beta=0.4) == pytest.approx(
-            0.2 * 0.5310044064107189, rel=1e-12
-        )
+        assert witness_coherence_bound((0.9, 1.0 - 0.9)) == pytest.approx(0.5310044064107189, abs=1e-15)
 
     def test_tomo_circular_state(self):
-        assert tomo_rate_asymptotic(QubitTomogram(0.5, 1.0, 0.5)) == pytest.approx(
+        assert coherence_rel_entropy(QubitTomogram(0.5, 1.0, 0.5)) == pytest.approx(
             1.0, abs=1e-12
         )
-        assert witness_rate_asymptotic(0.5) == 0.0
+        assert witness_coherence_bound((0.5, 0.5)) == 0.0
 
     def test_tomo_mixed_state(self):
-        assert tomo_rate_asymptotic(QubitTomogram(0.5, 0.5, 0.5)) == 0.0
+        assert coherence_rel_entropy(QubitTomogram(0.5, 0.5, 0.5)) == 0.0
 
     def test_gap_on_tilted_pure_state(self):
         t = QubitTomogram(p_x=0.8, p_y=0.9, p_z=0.5)
-        assert tomo_rate_asymptotic(t) == pytest.approx(1.0, abs=1e-9)
-        assert witness_rate_asymptotic(0.8) == pytest.approx(0.2780719051126377, abs=1e-15)
+        assert coherence_rel_entropy(t) == pytest.approx(1.0, abs=1e-9)
+        assert witness_coherence_bound((0.8, 1.0 - 0.8)) == pytest.approx(0.2780719051126377, abs=1e-15)
 
     def test_dominance(self, tomogram_batch):
         for p_x, p_y, p_z in tomogram_batch(2000, seed=41):
             t = QubitTomogram(p_x, p_y, p_z)
-            assert tomo_rate_asymptotic(t) >= witness_rate_asymptotic(p_x) - 1e-12
+            assert coherence_rel_entropy(t) >= witness_coherence_bound((p_x, 1.0 - p_x)) - 1e-12
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_equality_on_transverse_plane(self, p_x):
         t = QubitTomogram(p_x=p_x, p_y=0.5, p_z=0.5)
-        assert abs(tomo_rate_asymptotic(t) - witness_rate_asymptotic(p_x)) <= 1e-9
+        assert abs(coherence_rel_entropy(t) - witness_coherence_bound((p_x, 1.0 - p_x))) <= 1e-9
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     @example(0.5)
@@ -158,7 +145,7 @@ class TestAsymptoticRates:
     @example(1.0)
     def test_witness_rate_is_one_minus_binary_entropy(self, p_x):
         # the X-only rate is the witness bound; it must equal 1 - h(p_x) to the bit
-        rate = witness_rate_asymptotic(p_x)
+        rate = witness_coherence_bound((p_x, 1.0 - p_x))
         expected = 1.0 - binary_entropy(p_x)
         assert rate == expected
         assert math.copysign(1.0, rate) == math.copysign(1.0, expected)
@@ -166,23 +153,23 @@ class TestAsymptoticRates:
     @pytest.mark.parametrize("p_x", [math.nan, -0.1, 1.1, math.inf, -math.inf])
     def test_witness_rate_rejects_bad_probability(self, p_x):
         with pytest.raises(ValueError):
-            witness_rate_asymptotic(p_x)
+            witness_coherence_bound((p_x, 1.0 - p_x))
 
 
 class TestRateReport:
     def test_fields_and_invariants(self):
-        cert = certify((9e7, 5e6, 5e6), (4.5e7, 4.5e7, 1e7), (4.5e7, 4.5e7, 1e7), 2e8, BUDGET)
+        cert = certify((9e7, 5e6, 5e6), (4.5e7, 4.5e7, 1e7), (4.5e7, 4.5e7, 1e7), 3e8, BUDGET)
         assert cert.entropy_bound == pytest.approx(1e8 * cert.coherence, rel=1e-12)
         assert cert.double_click_cost == 1e7
         assert cert.net_bits == pytest.approx(
             cert.entropy_bound - cert.finite_size_penalty - cert.double_click_cost,
             rel=1e-12,
         )
-        assert cert.rate_per_pulse == pytest.approx(cert.net_bits / 2e8, rel=1e-12)
+        assert cert.rate_per_pulse == pytest.approx(cert.net_bits / 3e8, rel=1e-12)
         assert cert.status == "ok"
 
     def test_zero_coherence_floors_at_zero(self):
-        cert = transverse_cert(0.5, 1e6, 1e6, n_pulses=1e6)
+        cert = transverse_cert(0.5, 1e6, 1e6, n_pulses=3e6)
         assert cert.net_bits == 0.0
         assert cert.rate_per_pulse == 0.0
         assert cert.status == "no_positive_rate"
@@ -199,12 +186,12 @@ class TestRateReport:
     def test_assembled_arithmetic(self):
         # n_z = 961 at eps1 = 0.12: the penalty is k * sqrt(961 * log2(2 / 0.12^2))
         budget = EpsilonBudget(0.12, 0.01, 0.01, 0.01, 0.01)
-        cert = certify((961, 0, 0), (480, 481, 0), (480, 481, 0), 1000.0, budget)
+        cert = certify((961, 0, 0), (480, 481, 0), (480, 481, 0), 3000.0, budget)
         penalty = MIN_ENTROPY_COEFF * math.sqrt(961.0 * smoothing_log_term(0.12))
         assert cert.finite_size_penalty == pytest.approx(penalty, rel=1e-15)
         assert cert.net_bits == pytest.approx(961.0 * cert.coherence - penalty, rel=1e-12)
         assert cert.net_bits == pytest.approx(104.00958052015244, rel=1e-9)
-        assert cert.rate_per_pulse == pytest.approx(0.10400958052015244, rel=1e-9)
+        assert cert.rate_per_pulse == pytest.approx(0.10400958052015244 / 3.0, rel=1e-9)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

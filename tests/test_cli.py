@@ -19,11 +19,10 @@ from hypothesis import strategies as st
 import siqrng
 from siqrng import cli
 from siqrng.acquisition import POLICIES, EpsilonBudget, parse_counts, read_counts
-from siqrng.bounds import tomo_rate_asymptotic, witness_rate_asymptotic
 from siqrng.cli import _CSV_CHUNK_ROWS, CliError, _emit, _fmt, _parse_grid, _shared_parser, _write_csv, build_parser, main
 from siqrng.extractor import parse_bit_string, read_bits
 from siqrng.optimizer import optimize
-from siqrng.qubit import QubitTomogram
+from siqrng.qubit import QubitTomogram, coherence_rel_entropy, witness_coherence_bound
 
 from conftest import reference_csv_text, reference_emit
 
@@ -240,10 +239,13 @@ class TestRate:
 
     @pytest.mark.parametrize("n_pulses", ["10", "11999", "nan", "inf"])
     def test_counts_must_fit_pulse_count(self, capsys, counts_file, n_pulses):
-        # the file records 12000 clicks, and each pulse yields at most one
+        # the file records 12000 clicks, and each pulse yields at most one; certify refuses, not the CLI
         rc, out, err = run(capsys, ["rate", "--counts", str(counts_file), "--N", n_pulses])
         assert rc == 2 and out == ""
-        assert err.startswith("error[reading counts]")
+        if n_pulses in ("nan", "inf"):
+            assert err == f"error[certification]: n_pulses must be finite and positive: {n_pulses}\n"
+        else:
+            assert err == f"error[certification]: counts hold 12000 clicks, more than the {n_pulses} pulses\n"
 
     @pytest.mark.parametrize("flags", [["--mu0", "inf"], ["--N", "nan"]], ids=["mu0-inf", "N-nan"])
     def test_non_finite_source_fails_at_configuration(self, capsys, flags):
@@ -799,8 +801,9 @@ class TestCompare:
             for y in axis:
                 if x * x + y * y > 1.0 + 1e-9:
                     continue
-                r_u = witness_rate_asymptotic((1.0 + x) / 2.0)
-                r_t = tomo_rate_asymptotic(QubitTomogram((1.0 + x) / 2.0, (1.0 + y) / 2.0, 0.5))
+                p_x = (1.0 + x) / 2.0
+                r_u = witness_coherence_bound((p_x, 1.0 - p_x))
+                r_t = coherence_rel_entropy(QubitTomogram(p_x, (1.0 + y) / 2.0, 0.5))
                 rows.append(",".join(_fmt(v) for v in (x, y, r_u, r_t, r_t - r_u)))
                 gaps.append(r_t - r_u)
                 if y == 0.0:
@@ -897,12 +900,12 @@ def _outcome(read, *args):
 
 
 def oracle_counts(path) -> object:
-    return parse_counts(Path(path).read_text(encoding="utf-8"))
+    return parse_counts(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def oracle_bits(path, fmt="ascii", count=None) -> np.ndarray:
     assert fmt == "ascii"
-    return parse_bit_string(Path(path).read_text(encoding="utf-8"))
+    return parse_bit_string(Path(path).read_text(encoding="utf-8-sig"))
 
 
 COUNTS_BYTES = {
@@ -930,8 +933,27 @@ BITS_BYTES = {
 }
 
 
+BOM = b"\xef\xbb\xbf"
+# (file contents, argv with F for the file) of each document the CLI reads
+BOM_DOCUMENTS = {
+    "counts": (COUNTS_TEXT.encode(), ["rate", "--counts", "F", "--N", "12000"]),
+    "bits": (b"01101001\n", ["extract", "--input", "F", "--seed-file", "F", "--m", "1"]),
+    "config": (json.dumps({"simulate": True, "N": 1e6, "q": 0.05, "mu0": 1.0}).encode(), ["rate", "--config", "F"]),
+}
+
+
 class TestReadPaths:
-    """read_counts and read_bits read bytes; the oracles decode the file as UTF-8 text and parse that."""
+    """read_counts and read_bits read bytes; the oracles decode the file as UTF-8 text (BOM dropped) and parse that."""
+
+    @pytest.mark.parametrize("data, argv", BOM_DOCUMENTS.values(), ids=BOM_DOCUMENTS.keys())
+    def test_byte_order_mark_is_accepted(self, capsys, tmp_path, data, argv):
+        # editors on Windows often start UTF-8 files with a BOM; each reader used to refuse it
+        path = tmp_path / "document"
+        argv = [str(path) if arg == "F" else arg for arg in argv]
+        path.write_bytes(data)
+        plain = run(capsys, argv)
+        path.write_bytes(BOM + data)
+        assert plain[0] == 0 and run(capsys, argv) == plain
 
     @pytest.mark.parametrize("data", COUNTS_BYTES.values(), ids=COUNTS_BYTES.keys())
     def test_counts_match_the_text_read(self, capsys, monkeypatch, tmp_path, data):

@@ -198,6 +198,17 @@ class TestOptimize:
         with pytest.raises(ValueError):
             rate_surface(n_pulses, p_mix, np.array([1.4]), np.array([0.01]), BUDGET)
 
+    @pytest.mark.parametrize("n_pulses", [float("nan"), float("inf"), 0.0, -1e8])
+    def test_pulse_count_refused_by_certify(self, n_pulses):
+        # p_mix = 0 makes inf * 0 in the expected counts: no warning may escape before certify refuses
+        message = f"^n_pulses must be finite and positive: {n_pulses!r}$"
+        with pytest.raises(ValueError, match=message):
+            rate_surface(n_pulses, 0.0, np.array([1.4]), np.array([0.01]), BUDGET)
+        with pytest.raises(ValueError, match=message):
+            optimize(n_pulses, 0.0, BUDGET)
+        with pytest.raises(ValueError, match="^p_mix must lie in"):  # checked before certify sees n_pulses
+            rate_surface(n_pulses, 2.0, np.array([1.4]), np.array([0.01]), BUDGET)
+
     def test_trace_is_replayable(self):
         result = optimize(1e7, 0.0, BUDGET, refine_levels=1)
         assert isinstance(result, OptimizationResult)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from siqrng.bounds import tomo_rate_asymptotic, witness_rate_asymptotic
 from siqrng.detector import ExperimentConfig
 from siqrng.qubit import (
     NonphysicalStateError,
@@ -224,15 +223,11 @@ class TestWitness:
             assert witness_value(w) <= 1e-12
 
     def test_bound_examples(self):
-        assert witness_coherence_bound([1.0, 0.0], 2) == pytest.approx(1.0, abs=1e-12)
-        assert witness_coherence_bound([0.5, 0.5], 2) == pytest.approx(0.0, abs=1e-12)
-        assert witness_coherence_bound([0.95, 0.05], 2) == pytest.approx(
+        assert witness_coherence_bound([1.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
+        assert witness_coherence_bound([0.5, 0.5]) == pytest.approx(0.0, abs=1e-12)
+        assert witness_coherence_bound([0.95, 0.05]) == pytest.approx(
             0.7136030428840436, abs=1e-15
         )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            witness_coherence_bound([0.5, 0.5], 3)
 
     def test_uniform_bound_is_positive_zero(self):
         bound = witness_coherence_bound([0.5, 0.5])
@@ -242,8 +237,8 @@ class TestWitness:
         # the witness bound from either transverse basis never exceeds C
         for t in physical_tomograms(2000, seed=23):
             c = coherence_rel_entropy(t)
-            assert c >= witness_coherence_bound([t.p_x, 1.0 - t.p_x], 2) - 1e-9
-            assert c >= witness_coherence_bound([t.p_y, 1.0 - t.p_y], 2) - 1e-9
+            assert c >= witness_coherence_bound([t.p_x, 1.0 - t.p_x]) - 1e-9
+            assert c >= witness_coherence_bound([t.p_y, 1.0 - t.p_y]) - 1e-9
 
 
 def _config(**kwargs) -> ExperimentConfig:
@@ -261,10 +256,6 @@ FRACTION_CHECKS = [
     pytest.param("p_mix", lambda v: _config(p_mix=v), id="config-p_mix"),
     pytest.param("eta", lambda v: double_click_prob(2, v, "x", 0.5), id="double_click-eta"),
     pytest.param("p_mix", lambda v: double_click_prob(2, 0.5, "x", v), id="double_click-p_mix"),
-    pytest.param("q", lambda v: witness_rate_asymptotic(0.9, q=v), id="witness_rate-q"),
-    pytest.param("beta", lambda v: witness_rate_asymptotic(0.9, beta=v), id="witness_rate-beta"),
-    pytest.param("q_z", lambda v: tomo_rate_asymptotic(QubitTomogram(0.9, 0.5, 0.5), q_z=v), id="tomo_rate-q_z"),
-    pytest.param("beta", lambda v: tomo_rate_asymptotic(QubitTomogram(0.9, 0.5, 0.5), beta=v), id="tomo_rate-beta"),
 ]
 
 
