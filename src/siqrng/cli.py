@@ -268,9 +268,11 @@ def _shared_parser() -> argparse.ArgumentParser:
 
     Building it costs ~2 ms, several times a `rate --counts` certificate, so a
     caller that runs `main` repeatedly in one process pays that once; a console
-    launch runs `main` once and gains nothing.  Reuse is safe: `parse_args`
-    returns a fresh namespace on each call, and the tree has no `set_defaults`
-    or custom actions that a parse could change.
+    launch runs `main` once and gains nothing.  `main` parses an argv that
+    starts with a command name with that command's subparser of this tree
+    alone, and any other argv with the tree's top level.  Reuse is safe:
+    `parse_args` returns a fresh namespace on each call, and the tree has no
+    `set_defaults` or custom actions that a parse could change.
     """
     return build_parser()
 
@@ -294,13 +296,14 @@ def cmd_rate(args, out) -> int:
         config, record, echo = _simulate(args, "--simulate")
         n_pulses = config.n_pulses
 
+    # named before certify checks the pulse count, which without --N is the total: 0 when no basis clicked
+    empty = next((name for name in "xyz" if not record.basis(name).n > 0), None)
+    if empty:
+        raise CliError("squashing", f"no clicks in basis {empty}")
     with _stage("certification"):
         cert = certify(record.x, record.y, record.z, n_pulses, budget, args.policy)
         floor = finite_size_floor(budget.eps1)
     status = cert.status
-    if status == "no_clicks":
-        empty = next(name for name in "xyz" if not record.basis(name).n > 0)
-        raise CliError("squashing", f"no clicks in basis {empty}")
     if status == "nonphysical":
         with _stage("coherence"):
             tomogram = QubitTomogram(cert.x.adjusted, cert.y.adjusted, cert.z.adjusted)
@@ -529,7 +532,12 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _expand_config_args(argv)
-        args = _shared_parser().parse_args(argv)
+        parser = _shared_parser()
+        if argv and argv[0] in _COMMANDS:  # the top-level parser would hand the rest to this subparser
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            args = sub.choices[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        else:
+            args = parser.parse_args(argv)  # prints help or raises error[arguments]
         return _COMMANDS[args.command](args, sys.stdout)
     except CliError as e:
         print(f"error[{e.stage}]: {e.message}", file=sys.stderr)

@@ -24,6 +24,7 @@ its largest photon number below 1e-15.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,8 @@ from .qubit import _check_fraction
 PHOTON_TAIL = 1e-15
 # Cap on the photon-number window, reached near mu0 = 9.5e4.
 MAX_PHOTONS = 100_000
+# Largest mu0 whose sampler tables are kept; its window holds at most 3 918 photon numbers.
+_KEPT_MU0 = 3000.0
 
 
 @dataclass(frozen=True)
@@ -138,12 +141,31 @@ def _photon_pmf(mu0: float) -> np.ndarray:
     return pmf
 
 
+@functools.lru_cache(maxsize=8)
+def _sampler_tables(mu0: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only photon pmf and (4, K, 4) outcome table of mc_sample, K = pmf.size.
+
+    Table rows are the groups pure X, mixed X, Y, Z; columns the photon
+    number; last axis the outcome order of _outcome_probs.  mc_sample keeps
+    the tables of mu0 <= _KEPT_MU0 only, so one entry holds at most 136 bytes
+    per photon number of a 3 918-point window, 0.53 MB, and the 8 entries at
+    most 4.3 MB; a larger mu0 builds through __wrapped__ and keeps nothing.
+    """
+    pmf = _photon_pmf(mu0)
+    m = np.arange(pmf.size)
+    routed = _outcome_probs(m, eta)
+    table = np.stack([_outcome_probs(m, eta, to_zero=1.0), routed, routed, routed])
+    pmf.flags.writeable = table.flags.writeable = False
+    return pmf, table
+
+
 def mc_sample(config: ExperimentConfig, seed: int) -> ClickStats:
     """Monte Carlo click counts; deterministic given (config, seed).
 
     Pulses are i.i.d., so the counts are drawn per stratum, not per pulse:
     basis split, mixed X pulses, photon numbers per group, and outcomes per
-    group and photon number.  The work is O(m_max) whatever the pulse count.
+    group and photon number.  The work is O(m_max) whatever the pulse count;
+    the tables it draws from are built once per (mu0, eta) in a process.
     """
     n = int(config.n_pulses)
     if n != config.n_pulses or n > np.iinfo(np.int64).max:
@@ -151,12 +173,9 @@ def mc_sample(config: ExperimentConfig, seed: int) -> ClickStats:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     n_x, n_y, n_z = rng.multinomial(n, [config.q, config.q, 1.0 - 2.0 * config.q])
     n_mixed = rng.binomial(n_x, config.p_mix)
-    pmf = _photon_pmf(config.mu0)
-    # rows: pure X, mixed X, Y, Z; columns: photon number
+    tables = _sampler_tables if config.mu0 <= _KEPT_MU0 else _sampler_tables.__wrapped__  # uncached
+    pmf, table = tables(config.mu0, config.eta)
     photons = rng.multinomial([n_x - n_mixed, n_mixed, n_y, n_z], pmf)
-    m = np.arange(pmf.size)
-    routed = _outcome_probs(m, config.eta)
-    table = np.stack([_outcome_probs(m, config.eta, to_zero=1.0), routed, routed, routed])
     outcomes = rng.multinomial(photons, table).sum(axis=1)
     x, y, z = (BasisCounts(*(int(v) for v in row[:3])) for row in (outcomes[0] + outcomes[1], *outcomes[2:]))
     return ClickStats(x, y, z, int(n_x), int(n_y), int(n_z))

@@ -28,6 +28,7 @@ from conftest import reference_csv_text, reference_emit
 
 COUNTS_TEXT = "X,900,50,50\nY,450,450,100\nZ,4500,4500,1000\n"
 REPO = Path(__file__).resolve().parents[1]
+SMALL_GRID = ["--mu-grid", "0.5:1.5:0.25", "--q-grid", "0.01:0.05:0.02"]
 
 # X and Y relabeled, Z straddling 1/2 with doubles to assign
 GOLDEN_COUNTS = "X,50000,900000,50000\nY,100000,800000,100000\nZ,4000000,4600000,1400000\n"
@@ -74,6 +75,55 @@ finite_size_floor: 108
 note.finite_size_floor: validity floor is ceil((8/5)*log2(2/eps1^2)), e.g. 108 at eps1 = 1e-10; the value 95 sometimes quoted for that setting understates the requirement
 penalty_coeff: 7.08621321
 penalty_coeff_2dp: 7.09
+"""
+
+# siqrng -h at 80 columns
+TOP_LEVEL_HELP = """\
+usage: siqrng [-h] {rate,compare,simulate,optimize,extract} ...
+
+Source-independent quantum randomness certification and extraction.
+
+positional arguments:
+  {rate,compare,simulate,optimize,extract}
+    rate                certified net randomness for one run
+    compare             witness vs tomography rates on the Bloch x-y disk
+    simulate            click statistics of the detector model
+    optimize            best (mu, q) for a pulse budget
+    extract             Toeplitz-hash a raw bit file
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+# simulate --mc --N 1e6 --q 0.05 --mu0 1.4 --eta 0.6 --p 0.1 --seed 17, recorded before the sampler kept its tables
+GOLDEN_MC_SIMULATE = """\
+command: simulate
+config.N: 1000000
+config.q: 0.05
+config.mu0: 1.4
+config.eta: 0.6
+config.p: 0.1
+config.mu: 0.84
+config.source: mc
+config.seed: 17
+pulses.x: 49841
+counts.x.n0: 26548
+counts.x.n1: 1199
+counts.x.nd: 600
+counts.x.total: 28347
+double_fraction.x: 0.021166261
+pulses.y: 50141
+counts.y.n0: 11354
+counts.y.n1: 11183
+counts.y.nd: 5946
+counts.y.total: 28483
+double_fraction.y: 0.2087561
+pulses.z: 900018
+counts.z.n0: 203589
+counts.z.n1: 202890
+counts.z.nd: 106005
+counts.z.total: 512484
+double_fraction.z: 0.206845482
 """
 
 
@@ -206,6 +256,22 @@ class TestRate:
         rc, out, err = run(capsys, ["rate", "--counts", str(path), "--N", "12000"])
         assert rc == 2 and out == ""
         assert err == "error[squashing]: no clicks in basis y\n"
+
+    @pytest.mark.parametrize(
+        "counts, pulses, basis",
+        [
+            ("X,0,0,0\nY,0,0,0\nZ,0,0,0\n", [], "x"),
+            ("X,0,0,0\nY,0,0,0\nZ,0,0,0\n", ["--N", "1000"], "x"),
+            ("X,0,0,0\nY,0,0,0\nZ,0,0,0\n", ["--N", "0"], "x"),
+            ("X,900,50,50\nY,0,0,0\nZ,4500,4500,1000\n", ["--N", "100"], "y"),
+        ],
+        ids=["no-N", "N", "bad-N", "N-below-clicks"],
+    )
+    def test_empty_basis_is_named_before_the_pulse_count(self, capsys, tmp_path, counts, pulses, basis):
+        # without --N the pulse count is the total of the clicks, 0 for the first file
+        path = tmp_path / "counts.txt"
+        path.write_text(counts)
+        assert run(capsys, ["rate", "--counts", str(path), *pulses]) == (2, "", f"error[squashing]: no clicks in basis {basis}\n")
 
     def test_config_document_with_overrides(self, capsys, tmp_path):
         config = tmp_path / "run.json"
@@ -448,6 +514,64 @@ class TestParser:
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "0"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate", "--simulate", "--mc", "--N", "1e6", "--q", "0.05", "--mu0", "1.4", "--p", "0.1", "--seed", "3"],
+            ["rate", "--counts", "F", "--policy", "assign"],
+            ["rate", "--config", "CONFIG"],
+            ["--config", "CONFIG", "rate"],
+            ["compare", "--step", "0.5"],
+            ["simulate", "--N", "1e6", "--q", "0.05", "--mu0", "1"],
+            ["optimize", "--N", "1e8", *SMALL_GRID],
+            ["extract", "--input", "RAW", "--seed-file", "SEED", "--n", "3", "--m", "2"],
+            ["rate", "--counts", "F", "--bogus"],
+        ],
+        ids=["rate-mc", "rate-counts", "rate-config", "config-first", "compare", "simulate", "optimize", "extract", "bad"],
+    )
+    def test_commands_skip_the_top_level_parser(self, capsys, monkeypatch, stage_files, tmp_path, argv):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"simulate": True, "N": 1e6, "q": 0.05, "mu0": 1.0}))
+        top, parsed = _shared_parser(), []
+        real = argparse.ArgumentParser.parse_known_args
+
+        def spy(parser, *args, **kwargs):
+            parsed.append(parser)
+            return real(parser, *args, **kwargs)
+
+        monkeypatch.setattr(cli._ArgumentParser, "parse_known_args", spy)
+        rc, _, _ = run(capsys, [{**stage_files, "CONFIG": str(config)}.get(arg, arg) for arg in argv])
+        command = "rate" if argv[0] == "--config" else argv[0]
+        assert rc == (2 if "--bogus" in argv else 0)
+        assert [parser.prog for parser in parsed] == [f"siqrng {command}"]
+        assert top not in parsed
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            ([], (2, "", "error[arguments]: the following arguments are required: command\n")),
+            (
+                ["bogus"],
+                (
+                    2,
+                    "",
+                    "error[arguments]: argument command: invalid choice: 'bogus' "
+                    "(choose from 'rate', 'compare', 'simulate', 'optimize', 'extract')\n",
+                ),
+            ),
+            (["--extra=1", "rate", "--simulate"], (2, "", "error[arguments]: unrecognized arguments: --extra=1\n")),
+            (["-h"], (0, TOP_LEVEL_HELP, "")),
+        ],
+        ids=["empty", "unknown-command", "top-level-flag", "help"],
+    )
+    def test_other_argv_goes_to_the_top_level(self, capsys, monkeypatch, argv, expected):
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            result = run(capsys, argv)
+        except SystemExit as e:
+            result = (e.code, *capsys.readouterr())
+        assert result == expected
+
 
 class BrokenStdout(io.StringIO):
     """A stdout whose reader has gone away, as under `siqrng compare | head -c 0`."""
@@ -470,9 +594,6 @@ def stage_files(tmp_path, counts_file):
         "MISSING": str(tmp_path / "missing.json"),
         "LIST": str(tmp_path / "list.json"),
     }
-
-
-SMALL_GRID = ["--mu-grid", "0.5:1.5:0.25", "--q-grid", "0.01:0.05:0.02"]
 
 
 class TestStages:
@@ -598,6 +719,11 @@ class TestSimulate:
         from_counts = float(parse_doc(out_counts)["rate_per_pulse"])
         direct = float(parse_doc(out_direct)["rate_per_pulse"])
         assert from_counts == pytest.approx(direct, rel=1e-3)
+
+    def test_mc_document_is_the_recorded_one(self, capsys):
+        argv = ["simulate", "--mc", "--N", "1e6", "--q", "0.05", "--mu0", "1.4", "--eta", "0.6", "--p", "0.1", "--seed", "17"]
+        for _ in range(2):  # the sampler's tables are built, then reused
+            assert run(capsys, argv) == (0, GOLDEN_MC_SIMULATE, "")
 
     def test_mc_matches_expected_scale(self, capsys):
         rc, out, _ = run(

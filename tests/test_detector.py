@@ -1,15 +1,20 @@
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from siqrng.acquisition import ClickRecord, EpsilonBudget, certify, format_counts
+from siqrng import detector
 from siqrng.detector import (
+    _KEPT_MU0,
     PHOTON_TAIL,
     ExperimentConfig,
     _outcome_probs,
     _photon_pmf,
+    _sampler_tables,
     analytic_click_stats,
     mc_sample,
 )
@@ -302,6 +307,89 @@ class TestMonteCarlo:
         config = ExperimentConfig(n_pulses=1e19, q=0.1, mu0=1.0, eta=1.0, p_mix=0.0)
         with pytest.raises(ValueError):
             mc_sample(config, seed=0)
+
+
+# mc_sample draws recorded before the sampler kept its tables, at q = 0.05:
+# (N, mu0, eta, p_mix, seed, (x, y, z, pulses_x, pulses_y, pulses_z)).  The first twelve rows are
+# the settings of perfbench's mc_certify workload.
+GOLDEN_MC = [
+    (250000.0, 0.5, 1.0, 0.1, 3, ((4674, 210, 68), (2067, 2089, 574), (38714, 38632, 10912), 12484, 12340, 225176)),
+    (250000.0, 0.5, 1.0, 0.1, 17, ((4580, 205, 51), (2130, 2239, 573), (38804, 38958, 10852), 12422, 12570, 225008)),
+    (250000.0, 1.4, 1.0, 0.1, 3, ((8792, 296, 294), (3097, 3053, 3101), (56496, 56454, 56912), 12484, 12340, 225176)),
+    (250000.0, 1.4, 1.0, 0.1, 17, ((8793, 298, 307), (3226, 3064, 3206), (56130, 56322, 56797), 12422, 12570, 225008)),
+    (250000.0, 3.0, 1.0, 0.1, 3, ((10949, 188, 712), (2099, 2180, 7459), (38985, 39146, 135835), 12484, 12340, 225176)),
+    (250000.0, 3.0, 1.0, 0.1, 17, ((10852, 209, 749), (2168, 2278, 7470), (38945, 38839, 136055), 12422, 12570, 225008)),
+    (1000000.0, 0.5, 1.0, 0.1, 3, ((18644, 863, 212), (8480, 8477, 2429), (154771, 154897, 43817), 49968, 49677, 900355)),
+    (1000000.0, 0.5, 1.0, 0.1, 17, ((18425, 892, 229), (8689, 8553, 2422), (155656, 154969, 43769), 49841, 50141, 900018)),
+    (1000000.0, 1.4, 1.0, 0.1, 3, ((35175, 1185, 1212), (12595, 12440, 12445), (225636, 224407, 228714), 49968, 49677, 900355)),
+    (1000000.0, 1.4, 1.0, 0.1, 17, ((35120, 1243, 1267), (12389, 12564, 12769), (224961, 224754, 228687), 49841, 50141, 900018)),
+    (1000000.0, 3.0, 1.0, 0.1, 3, ((43655, 827, 2986), (8618, 8450, 30123), (155941, 156096, 543477), 49968, 49677, 900355)),
+    (1000000.0, 3.0, 1.0, 0.1, 17, ((43503, 885, 3003), (8567, 8840, 30174), (155960, 156097, 543276), 49841, 50141, 900018)),
+    (1000000.0, 1.4, 0.6, 0.1, 3, ((26718, 1122, 560), (11262, 11313, 5692), (202728, 203476, 105997), 49968, 49677, 900355)),
+    (1000000.0, 1.4, 0.6, 0.1, 17, ((26548, 1199, 600), (11354, 11183, 5946), (203589, 202890, 106005), 49841, 50141, 900018)),
+    (1000000.0, 1.4, 1.0, 0.0, 3, ((37869, 0, 0), (12346, 12284, 12827), (225155, 225550, 227855), 49968, 49677, 900355)),
+    (1000000.0, 1.4, 1.0, 0.0, 17, ((37549, 0, 0), (12548, 12492, 12744), (225158, 224698, 227987), 49841, 50141, 900018)),
+]
+
+
+class TestGoldenStream:
+    @pytest.mark.parametrize("n_pulses, mu0, eta, p_mix, seed, expected", GOLDEN_MC)
+    def test_counts_are_the_recorded_stream(self, n_pulses, mu0, eta, p_mix, seed, expected):
+        config = ExperimentConfig(n_pulses=n_pulses, q=0.05, mu0=mu0, eta=eta, p_mix=p_mix)
+        _sampler_tables.cache_clear()
+        for hits in (0, 1):  # the first call builds the tables, the second reuses them
+            stats = mc_sample(config, seed)
+            assert (tuple(stats.x), tuple(stats.y), tuple(stats.z), *stats_pulses(stats)) == expected
+            assert _sampler_tables.cache_info()[:2] == (hits, 1)
+
+
+def stats_pulses(stats):
+    return stats.pulses_x, stats.pulses_y, stats.pulses_z
+
+
+class TestSamplerTables:
+    def test_tables_are_read_only(self):
+        for array in _sampler_tables(1.4, 1.0):
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+
+    def test_second_call_builds_nothing(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(detector, "_photon_pmf", lambda mu0: built.append(mu0) or _photon_pmf(mu0))
+        _sampler_tables.cache_clear()
+        config = ExperimentConfig(n_pulses=1e6, q=0.05, mu0=2.2, eta=0.8, p_mix=0.1)
+        first = mc_sample(config, seed=1)
+        assert mc_sample(config, seed=1) == first
+        assert mc_sample(config, seed=2) != first
+        assert built == [2.2]
+
+    def test_large_mu0_keeps_nothing(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(detector, "_photon_pmf", lambda mu0: built.append(mu0) or _photon_pmf(mu0))
+        _sampler_tables.cache_clear()
+        config = ExperimentConfig(n_pulses=1000, q=0.05, mu0=_KEPT_MU0 * 1.01, eta=1.0, p_mix=0.1)
+        assert mc_sample(config, seed=1) == mc_sample(config, seed=1)
+        assert len(built) == 2 and _sampler_tables.cache_info().currsize == 0
+
+    def test_retained_memory_is_bounded(self):
+        # the worst case of _sampler_tables' docstring: every entry at the largest kept window
+        window = math.ceil(_KEPT_MU0 + 16.0 * math.sqrt(_KEPT_MU0) + 40.0) + 1
+        worst = _sampler_tables.cache_info().maxsize * 136 * window
+        assert worst <= 16e6
+        mu0s = [*np.geomspace(1e-3, 100.0, 8), *np.linspace(2000.0, _KEPT_MU0, 16), *np.geomspace(4e3, 9e4, 6)]
+        _sampler_tables.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for mu0 in mu0s:
+                mc_sample(ExperimentConfig(n_pulses=1000, q=0.05, mu0=float(mu0), eta=0.9, p_mix=0.1), seed=1)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(set(mu0s)) >= 20
+        assert 0 < retained <= worst + 65536
 
 
 class TestSimulatedWorstProbs:
