@@ -10,6 +10,7 @@ the output eps2-close to uniform.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -66,6 +67,7 @@ class ToeplitzSpec:
                 f"seed length {seed.size} != n + m - 1 = {expected} "
                 f"for n = {self.input_length}, m = {self.output_length}"
             )
+        seed.flags.writeable = False  # a later write would change the hash the spec was checked for
         object.__setattr__(self, "seed", seed)
 
 
@@ -97,14 +99,18 @@ _buffers = threading.local()
 # FFT lengths up to this keep their buffers, at most ~16 MB per thread.
 _KEPT_LENGTH = 1 << 20
 
+# FFT lengths up to this keep their seed's spectrum; 2**17 covers the 128 000-point postprocess block.
+_KEPT_SEED_LENGTH = 1 << 17
+
 
 def _spectra(length: int) -> tuple[np.ndarray, np.ndarray]:
     """Two complex128 half-spectra of length // 2 + 1 points, from this thread's kept buffers up to _KEPT_LENGTH.
 
-    The buffers grow to the largest kept length the thread has hashed and
-    never shrink, so hashing block after block reuses resident pages instead
-    of faulting fresh ones in.  Each thread has its own pair, so no lock is
-    needed.  A longer hash gets a pair of its own, freed when the call returns.
+    The buffers grow to the largest kept length L the thread has hashed and
+    never shrink, about 16 * L bytes for the pair, so hashing block after
+    block reuses resident pages instead of faulting fresh ones in.  Each
+    thread has its own pair, so no lock is needed.  A longer hash gets a pair
+    of its own, freed when the call returns.
     """
     size = length // 2 + 1
     if length > _KEPT_LENGTH:
@@ -116,27 +122,59 @@ def _spectra(length: int) -> tuple[np.ndarray, np.ndarray]:
     return pair[0][:size], pair[1][:size]
 
 
+@functools.lru_cache(maxsize=8)
+def _seed_spectrum(seed_bytes: bytes, length: int) -> np.ndarray:
+    """Read-only half-spectrum of the seed packed MSB-first in seed_bytes, zero-padded to length points.
+
+    The packed bits and the length fix the padded seed exactly: packing pads
+    with zeros, as the transform does, so equal keys have equal spectra.  A
+    post-processor reuses its seed block after block, so each hit saves one
+    transform.  _extract_fft keeps spectra of length <= _KEPT_SEED_LENGTH
+    only, so one entry holds at most 16 * (2**16 + 1) bytes of spectrum plus
+    2**14 bytes of key, 1.07 MB, and the 8 entries at most 8.5 MB.  Only the
+    seed is kept, which the hash family treats as public; raw bits and
+    outputs never are.
+    """
+    bits = np.unpackbits(np.frombuffer(seed_bytes, np.uint8))
+    spectrum = np.fft.rfft(bits, length)  # cuts off any packing zeros past length
+    spectrum.flags.writeable = False
+    return spectrum
+
+
+def _staged(bits: np.ndarray, buffer: np.ndarray, length: int) -> np.ndarray:
+    """bits zero-padded to length points in the float view of buffer, whatever it held before."""
+    staged = buffer.view(np.float64)[:length]
+    staged[: bits.size] = bits
+    staged[bits.size :] = 0.0
+    return staged
+
+
 def _extract_fft(spec: ToeplitzSpec, raw: np.ndarray) -> np.ndarray:
     """Row parities from one circular convolution seed * raw of _fft_length(n + m - 1) points.
 
     Row i's sum is entry n - 1 + i; any length >= n + m - 1 wraps only
     outside the kept rows, and the smallest 5-smooth one is the cheapest.
-    Every FFT-length array lives in the two buffers from _spectra: the seed
-    is staged in the second buffer's float view, its spectrum goes to the
-    first, the raw spectrum overwrites the staged seed, and the product's
-    inverse lands in the second buffer's float view again.  The returned
-    bits are a fresh array; the buffers are scratch for the next call.
+    Every per-call FFT-length array lives in the two buffers from _spectra.
+    Up to _KEPT_SEED_LENGTH the seed's spectrum comes from _seed_spectrum,
+    and the raw bits are staged in the first buffer's float view and
+    transformed into the second; a repeated seed then costs one rfft and one
+    irfft.  Above it the seed is staged in the second buffer and transformed
+    into the first, which holds its spectrum for this call only, and rfft
+    casts the raw bits itself, so no third FFT-length array is allocated.
+    The product's inverse lands in the first buffer's float view.  The
+    returned bits are a fresh array; the buffers are scratch for the next call.
     """
     n, m = spec.input_length, spec.output_length
     length = _fft_length(n + m - 1)
-    spectrum, other = _spectra(length)
-    staged = other.view(np.float64)[:length]
-    staged[: spec.seed.size] = spec.seed
-    staged[spec.seed.size :] = 0.0
-    np.fft.rfft(staged, out=spectrum)
-    np.fft.rfft(raw, length, out=other)
-    spectrum *= other
-    sums = np.fft.irfft(spectrum, length, out=staged)[n - 1 : n - 1 + m]
+    first, second = _spectra(length)
+    if length <= _KEPT_SEED_LENGTH:
+        seed_spectrum = _seed_spectrum(np.packbits(spec.seed).tobytes(), length)
+        np.fft.rfft(_staged(raw, first, length), out=second)
+    else:
+        seed_spectrum = np.fft.rfft(_staged(spec.seed, second, length), out=first)
+        np.fft.rfft(raw, length, out=second)
+    second *= seed_spectrum
+    sums = np.fft.irfft(second, length, out=first.view(np.float64)[:length])[n - 1 : n - 1 + m]
     rounded = np.rint(sums)
     sums -= rounded
     error = float(np.abs(sums, out=sums).max())
@@ -156,7 +194,10 @@ def toeplitz_extract(raw_bits, spec: ToeplitzSpec) -> np.ndarray:
     The transforms run in buffers the calling thread keeps for its later
     calls, 16 bytes per FFT point of the longest hash it has run up to
     2**20 points (about 16 MB); a longer hash allocates its own and keeps
-    nothing.
+    nothing.  For FFT lengths up to 2**17 points the process also keeps
+    the spectra of the 8 seeds hashed last, at most 8.5 MB (see _seed_spectrum),
+    so a repeated seed skips its transform; the margin check runs on every
+    call all the same.
     """
     raw = _as_bits(raw_bits, "raw_bits")
     if raw.size != spec.input_length:

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import sys
 import tracemalloc
@@ -12,6 +13,7 @@ from siqrng import extractor
 from siqrng.extractor import (
     ToeplitzSpec,
     _fft_length,
+    _seed_spectrum,
     _spectra,
     format_bit_string,
     output_length,
@@ -122,6 +124,17 @@ class TestSpec:
         spec = spec_for(3, 0, ())
         assert toeplitz_extract([1, 1, 0], spec).size == 0
 
+    def test_seed_is_frozen(self):
+        # a write after validation would hash with a matrix row holding 7
+        source = np.array(GOLDEN["seed"], dtype=np.uint8)
+        spec = spec_for(GOLDEN["n"], GOLDEN["m"], source)
+        with pytest.raises(ValueError, match="read-only"):
+            spec.seed[0] = 7
+        source[0] = 0  # the spec holds its own copy
+        assert spec.seed.tolist() == list(GOLDEN["seed"])
+        fresh = spec_for(GOLDEN["n"], GOLDEN["m"], GOLDEN["seed"])
+        assert toeplitz_extract(GOLDEN["raw"], fresh).tolist() == list(GOLDEN["out"])
+
 
 class TestGoldenVector:
     def test_matrix_layout(self):
@@ -203,8 +216,13 @@ class TestExtraction:
             monkeypatch.setattr(np.fft, name, recording)
         rng = np.random.default_rng(n)
         spec = spec_for(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
+        _seed_spectrum.cache_clear()
         toeplitz_extract(rng.integers(0, 2, n, dtype=np.uint8), spec)
         assert lengths == [smallest_smooth_at_least(n + m - 1)] * 3
+        # an equal seed in another array reuses the kept seed spectrum: one rfft and one irfft
+        lengths.clear()
+        toeplitz_extract(rng.integers(0, 2, n, dtype=np.uint8), spec_for(n, m, spec.seed.copy()))
+        assert lengths == [smallest_smooth_at_least(n + m - 1)] * 2
 
     def test_fft_matches_matrix_on_random_shapes(self):
         rng = np.random.default_rng(41)
@@ -230,7 +248,8 @@ class TestExtraction:
             parity = int(np.dot(seed[i : i + n][::-1].astype(np.int64), raw)) & 1
             assert out[i] == parity
 
-    @pytest.mark.parametrize("offset", [0.4, 0.6])  # 0.6 would round to the wrong integer
+    # 0.6 would round to the wrong integer; a NaN sum has no distance to any
+    @pytest.mark.parametrize("offset", [0.4, 0.6, float("nan")])
     def test_rounding_guard_fires(self, monkeypatch, perturb_irfft, offset):
         n, m = 64, 24
         rng = np.random.default_rng(61)
@@ -295,7 +314,16 @@ class TestBufferReuse:
     def test_threads_hash_at_once(self):
         shapes = [[(1500, 700), (60, 5), (900, 900)], [(2000, 300), (1, 1)],
                   [(257, 31), (1200, 1100), (800, 2)], [(1024, 1024), (333, 100)]]
-        work = [[self.case(n, m, 100 * t + k) for k, (n, m) in enumerate(row)] for t, row in enumerate(shapes)]
+        # every thread also hashes two seeds the others hash, each held in an array of its own;
+        # with 12 seeds against 8 kept spectra, hits race misses and evictions throughout
+        shared = [self.case(700, 300, 1), self.case(96, 33, 2)]
+        work = [
+            [self.case(n, m, 100 * t + k) for k, (n, m) in enumerate(row)]
+            + [(raw.copy(), spec_for(spec.input_length, spec.output_length, spec.seed.copy()), expected)
+               for raw, spec, expected in shared]
+            for t, row in enumerate(shapes)
+        ]
+        _seed_spectrum.cache_clear()
 
         def hash_all(cases):
             return [[toeplitz_extract(raw, spec) for raw, spec, _ in cases] for _ in range(20)]
@@ -313,11 +341,14 @@ class TestBufferReuse:
                     assert np.array_equal(result, expected)
 
     def test_longer_hashes_keep_nothing(self, monkeypatch):
-        # lengths 4400 and 4320 pass the cap and get pairs of their own; 48, 700 and 2000 are kept
+        # lengths 4400 and 4320 pass both caps and get pairs of their own, their seeds transformed
+        # in that pair; 48, 700 and 2000 keep their buffers and their seed spectra
         monkeypatch.setattr(extractor, "_KEPT_LENGTH", 2048)
+        monkeypatch.setattr(extractor, "_KEPT_SEED_LENGTH", 2048)
         cases = [self.case(n, m, seed) for seed, (n, m) in enumerate(
             [(3000, 1400), (40, 9), (700, 1), (1500, 500), (2600, 1700)]
         )]
+        _seed_spectrum.cache_clear()
 
         def hash_all():
             return [toeplitz_extract(raw, spec) for raw, spec, _ in cases], extractor._buffers.pair[0].size
@@ -327,6 +358,7 @@ class TestBufferReuse:
         for result, (_, _, expected) in zip(results, cases):
             assert np.array_equal(result, expected)
         assert kept == _fft_length(1500 + 500 - 1) // 2 + 1
+        assert _seed_spectrum.cache_info().currsize == 3
 
     def test_repeat_call_allocates_less_than_one_fft_buffer(self):
         # the largest postprocess block; a call that allocated its own FFT arrays peaks near 22 * L bytes
@@ -342,6 +374,93 @@ class TestBufferReuse:
         finally:
             tracemalloc.stop()
         assert peak < 8 * _fft_length(n + m - 1)
+
+
+class TestSeedSpectra:
+    """The seed's spectrum is kept per seed content and FFT length, read-only and bounded."""
+
+    @staticmethod
+    def seed_for(n: int, m: int, seed: int) -> np.ndarray:
+        return np.random.default_rng(seed).integers(0, 2, n + m - 1, dtype=np.uint8)
+
+    def test_equal_seed_in_another_array_hits(self):
+        n, m = 500, 120
+        seed = self.seed_for(n, m, 71)
+        raw = np.random.default_rng(72).integers(0, 2, n, dtype=np.uint8)
+        _seed_spectrum.cache_clear()
+        first = toeplitz_extract(raw, spec_for(n, m, seed))
+        again = toeplitz_extract(raw, spec_for(n, m, seed.copy()))
+        assert _seed_spectrum.cache_info()[:2] == (1, 1)  # one hit, one miss
+        assert np.array_equal(first, again)
+        assert np.array_equal(again, matrix_extract(raw, spec_for(n, m, seed)))
+
+    def test_changed_seed_misses(self):
+        # each spec is dropped before the next is built, so a cache keyed by the seed array's
+        # identity or by the FFT length alone would hand a later spec an earlier seed's spectrum
+        n, m = 500, 120
+        raw = np.random.default_rng(73).integers(0, 2, n, dtype=np.uint8)
+        _seed_spectrum.cache_clear()
+        for k in range(6):
+            spec = spec_for(n, m, self.seed_for(n, m, 80 + k))
+            assert np.array_equal(toeplitz_extract(raw, spec), matrix_extract(raw, spec))
+            del spec
+        assert _seed_spectrum.cache_info().misses == 6
+
+    def test_one_seed_serves_every_split(self):
+        # the spectrum depends on the padded seed alone: two splits of n + m - 1 = 619 share it
+        seed = self.seed_for(500, 120, 74)
+        rng = np.random.default_rng(75)
+        _seed_spectrum.cache_clear()
+        for n, m in [(500, 120), (560, 60)]:
+            raw = rng.integers(0, 2, n, dtype=np.uint8)
+            spec = spec_for(n, m, seed)
+            assert np.array_equal(toeplitz_extract(raw, spec), matrix_extract(raw, spec))
+        assert _seed_spectrum.cache_info()[:2] == (1, 1)
+
+    def test_cached_spectra_are_read_only(self):
+        n, m = 300, 40
+        seed = self.seed_for(n, m, 76)
+        toeplitz_extract(np.zeros(n, dtype=np.uint8), spec_for(n, m, seed))
+        spectrum = _seed_spectrum(np.packbits(seed).tobytes(), _fft_length(n + m - 1))  # the entry that call kept
+        with pytest.raises(ValueError):
+            spectrum[0] = 0.0
+
+    def test_guard_fires_on_a_hit(self, monkeypatch, perturb_irfft):
+        n, m = 64, 24
+        rng = np.random.default_rng(77)
+        spec = spec_for(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
+        raw = rng.integers(0, 2, n, dtype=np.uint8)
+        _seed_spectrum.cache_clear()
+        toeplitz_extract(raw, spec)  # warm: the seed's spectrum is kept
+        perturb_irfft(n - 1 + m // 2, 0.4)
+        with pytest.raises(ValueError, match="margin"):
+            toeplitz_extract(raw, spec)
+        assert _seed_spectrum.cache_info().hits == 1
+        monkeypatch.undo()
+        assert np.array_equal(toeplitz_extract(raw, spec), matrix_extract(raw, spec))
+
+    def test_retained_memory_is_bounded(self):
+        # the worst case of _seed_spectrum's docstring: every entry at the longest kept FFT length
+        cap = extractor._KEPT_SEED_LENGTH
+        worst = _seed_spectrum.cache_info().maxsize * (16 * (cap // 2 + 1) + cap // 8)
+        assert _fft_length(128_000) <= cap and worst <= 10e6
+        # 30 seeds, the last 20 padding to the cap itself
+        shapes = [(200 + 50 * k, 100) for k in range(10)] + [(cap - 1000 - k, 1001 + k) for k in range(20)]
+        n, m = shapes[-1]
+        toeplitz_extract(np.zeros(n, dtype=np.uint8), spec_for(n, m, self.seed_for(n, m, 0)))
+        _seed_spectrum.cache_clear()  # this thread's buffers now span the cap, so only spectra are retained
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k, (n, m) in enumerate(shapes):
+                toeplitz_extract(np.ones(n, dtype=np.uint8), spec_for(n, m, self.seed_for(n, m, 90 + k)))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert {_fft_length(n + m - 1) for n, m in shapes[10:]} == {cap}
+        assert 0 < retained <= worst + 65536
 
 
 class TestBitSerialization:
