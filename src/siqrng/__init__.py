@@ -10,7 +10,7 @@ then distills the certified bits.
 
 Layout:
 
-    qubit        single-qubit tomograms, entropies, witnesses, and the coherence `certify` runs
+    qubit        binary entropy, and the Bloch length and coherence `certify` and `compare` run
     acquisition  click records, the finite-size penalty and floor, and `certify` to a `Certificate`
     detector     optical threshold-detector model (closed form and Monte Carlo)
     optimizer    grid search over intensity and basis bias
@@ -49,15 +49,7 @@ from .extractor import (
     write_bits,
 )
 from .optimizer import OptimizationResult, optimize, rate_surface
-from .qubit import (
-    NonphysicalStateError,
-    QubitTomogram,
-    binary_entropy,
-    coherence_rel_entropy,
-    shannon_entropy,
-    witness_coherence_bound,
-    witness_value,
-)
+from .qubit import NonphysicalStateError, binary_entropy
 
 __version__ = "0.1.0"
 
@@ -72,12 +64,10 @@ __all__ = [
     "MIN_ENTROPY_COEFF",
     "NonphysicalStateError",
     "OptimizationResult",
-    "QubitTomogram",
     "ToeplitzSpec",
     "analytic_click_stats",
     "binary_entropy",
     "certify",
-    "coherence_rel_entropy",
     "finite_size_floor",
     "mc_sample",
     "optimize",
@@ -87,13 +77,10 @@ __all__ = [
     "rate_surface",
     "read_bits",
     "read_counts",
-    "shannon_entropy",
     "smoothing_log_term",
     "toeplitz_extract",
     "toeplitz_matrix",
     "unpack_bits",
-    "witness_coherence_bound",
-    "witness_value",
     "write_bits",
     "write_counts",
 ]

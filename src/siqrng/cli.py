@@ -45,7 +45,7 @@ from .acquisition import (
 from .detector import ClickStats, ExperimentConfig, analytic_click_stats, mc_sample
 from .extractor import ToeplitzSpec, format_bit_string, output_length, read_bits, toeplitz_extract, write_bits
 from .optimizer import DEFAULT_MU_GRID, DEFAULT_Q_GRID, optimize
-from .qubit import _NUMPY_OPS, NonphysicalStateError, QubitTomogram, _bloch_radius, _coherence, binary_entropy_arr
+from .qubit import _NUMPY_OPS, NonphysicalStateError, _bloch_radius, _coherence, binary_entropy_arr
 
 FLOOR_NOTE = (
     "validity floor is ceil((8/5)*log2(2/eps1^2)), e.g. 108 at eps1 = 1e-10; "
@@ -306,8 +306,7 @@ def cmd_rate(args, out) -> int:
     status = cert.status
     if status == "nonphysical":
         with _stage("coherence"):
-            tomogram = QubitTomogram(cert.x.adjusted, cert.y.adjusted, cert.z.adjusted)
-            raise NonphysicalStateError(tomogram, cert.radius)
+            raise NonphysicalStateError(cert.x.adjusted, cert.y.adjusted, cert.z.adjusted, cert.radius)
     if status == "below_floor":
         raise CliError(
             "rate assembly",
@@ -362,7 +361,7 @@ def cmd_compare(args, out) -> int:
         inside = x * x + y * y <= 1.0 + 1e-9
         x, y = x[inside], y[inside]
         p_x = (1.0 + x) / 2.0
-        # 1 - h(p_x), spelled as 0 - W with W = h(p_x) - log2(2) to match witness_coherence_bound bit for bit
+        # the paper's witness rate -W = 1 - h(p_x), W = h(p_x) - log2(2); spelled 0 - W, as -W is -0.0 at p_x = 1/2
         r_u = 0.0 - (binary_entropy_arr(p_x) - 1.0)
         with _NUMPY_OPS.quiet():
             r_t = _coherence(0.5, _bloch_radius(p_x, (1.0 + y) / 2.0, 0.5, _NUMPY_OPS), _NUMPY_OPS)

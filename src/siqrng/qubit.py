@@ -12,20 +12,21 @@ quantity is lower-bounded, without Y data, by the uniformly mixing witness
 
     C(rho) >= log2(d) - H(Xi(rho))
 
-where Xi is the dephasing map of a basis mutually unbiased with Z.
+where Xi is the dephasing map of a basis mutually unbiased with Z.  For a
+qubit measured in X this is -W = 1 - h(p_x), which `cli.cmd_compare` puts
+beside C.
 
 The Bloch length and the coherence are written once, on a backend namespace:
-`_MATH_OPS` for floats, as the tomogram uses them, or `_NUMPY_OPS` for
-arrays, as `acquisition.certify` also runs them on grids of counts.
+`_MATH_OPS` for floats, as `acquisition.certify` runs them on one run's
+counts, or `_NUMPY_OPS` for arrays, as it runs them on grids of counts and
+`cli.cmd_compare` on the Bloch disk.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Sequence
 
 import numpy as np
 
@@ -33,17 +34,14 @@ import numpy as np
 # clamped to 1 (float dust from squared sums), anything beyond is rejected.
 PHYSICALITY_TOL = 1e-9
 
-# Tolerance on the normalization of an outcome distribution.
-DISTRIBUTION_TOL = 1e-9
-
 
 class NonphysicalStateError(ValueError):
     """The measured probabilities are inconsistent with any qubit state."""
 
-    def __init__(self, tomogram: "QubitTomogram", radius: float):
+    def __init__(self, p_x: float, p_y: float, p_z: float, radius: float):
         super().__init__(
-            f"Bloch vector length {radius:.12g} exceeds 1: tomogram {tomogram} does not "
-            "describe a qubit state"
+            f"Bloch vector length {radius:.12g} exceeds 1: adjusted probabilities "
+            f"(p_x={p_x!r}, p_y={p_y!r}, p_z={p_z!r}) do not describe a qubit state"
         )
 
 
@@ -119,84 +117,3 @@ def _coherence(p_z, radius, ops):
     """h(p_z) less the entropy of the state, its radius clamped to the ball, floored at 0."""
     state_entropy = ops.entropy((1.0 + ops.minimum(radius, 1.0)) / 2.0)
     return ops.maximum(ops.entropy(p_z) - state_entropy, 0.0)
-
-
-def shannon_entropy(dist: Sequence[float]) -> float:
-    """Shannon entropy in bits of a normalized outcome distribution."""
-    probs = [float(v) for v in dist]
-    if len(probs) < 2:
-        raise ValueError("distribution needs at least two outcomes")
-    if not all(map(math.isfinite, probs)):
-        # NaN fails every comparison below, so it would pass them all
-        raise ValueError(f"non-finite probability in distribution: {probs}")
-    if min(probs) < 0.0:
-        raise ValueError(f"negative probability in distribution: {probs}")
-    if abs(sum(probs) - 1.0) > DISTRIBUTION_TOL:
-        raise ValueError(f"distribution not normalized: sum = {sum(probs)!r}")
-    return -sum(v * math.log2(v) for v in probs if v > 0.0)
-
-
-@dataclass(frozen=True)
-class QubitTomogram:
-    """Zero-outcome probabilities of the three Pauli measurements.
-
-    The Bloch vector of the reconstructed state is
-    (2 p_x - 1, 2 p_y - 1, 2 p_z - 1).  Construction only checks that each
-    probability lies in [0, 1]; consistency with a positive density matrix
-    is reported by is_physical and enforced by the entropy operations, so
-    that inconsistent data can be inspected before being rejected.
-    """
-
-    p_x: float
-    p_y: float
-    p_z: float
-
-    def __post_init__(self) -> None:
-        for name in ("p_x", "p_y", "p_z"):
-            _check_fraction(getattr(self, name), name)
-
-    @property
-    def bloch(self) -> tuple[float, float, float]:
-        return (2.0 * self.p_x - 1.0, 2.0 * self.p_y - 1.0, 2.0 * self.p_z - 1.0)
-
-    @property
-    def bloch_norm(self) -> float:
-        """Unclamped Bloch vector length.  May exceed 1 for inconsistent data."""
-        return _bloch_radius(self.p_x, self.p_y, self.p_z, _MATH_OPS)
-
-    @property
-    def is_physical(self) -> bool:
-        return self.bloch_norm <= 1.0 + PHYSICALITY_TOL
-
-    @property
-    def purity_radius(self) -> float:
-        """Bloch length clamped to the unit ball; raises when clearly outside it."""
-        r = self.bloch_norm
-        if r > 1.0 + PHYSICALITY_TOL:
-            raise NonphysicalStateError(self, r)
-        return min(r, 1.0)
-
-
-def coherence_rel_entropy(tomogram: QubitTomogram) -> float:
-    """Relative entropy of coherence in the Z eigenbasis, in bits.
-
-    Equals h(p_z) minus the state entropy.  The difference is provably
-    nonnegative for physical tomograms; float dust a few ulps below zero is
-    clamped so callers can rely on a rate in [0, 1].
-    """
-    return _coherence(tomogram.p_z, tomogram.purity_radius, _MATH_OPS)
-
-
-def witness_value(xi_distribution: Sequence[float]) -> float:
-    """Uniformly mixing coherence witness W = H(dist) - log2(d).
-
-    Nonpositive for any distribution, and zero exactly when the observed
-    distribution in the mutually unbiased basis is uniform (no certifiable
-    coherence).
-    """
-    return shannon_entropy(xi_distribution) - math.log2(len(xi_distribution))
-
-
-def witness_coherence_bound(xi_distribution: Sequence[float]) -> float:
-    """Certified coherence lower bound -W = log2(d) - H(dist) from witness data, d = len(dist)."""
-    return 0.0 - witness_value(xi_distribution)  # not -W, which is -0.0 for uniform data

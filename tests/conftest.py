@@ -1,6 +1,20 @@
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
 import hypothesis
 import numpy as np
 import pytest
+
+from siqrng.qubit import (
+    _MATH_OPS,
+    PHYSICALITY_TOL,
+    NonphysicalStateError,
+    _bloch_radius,
+    _check_fraction,
+    _coherence,
+    binary_entropy,
+)
 
 hypothesis.settings.register_profile(
     "siqrng", deadline=None, max_examples=100, derandomize=True
@@ -50,8 +64,6 @@ def double_click_prob(m: int, eta: float, basis: str, p_mix: float = 0.0) -> flo
     through the library's [0, 1] check, so a bad fraction cannot reach a
     comparison.
     """
-    from siqrng.qubit import _check_fraction
-
     _check_fraction(eta, "eta")
     _check_fraction(p_mix, "p_mix")
     routed = 1.0 + (1.0 - eta) ** m - 2.0 * (1.0 - eta / 2.0) ** m
@@ -60,9 +72,95 @@ def double_click_prob(m: int, eta: float, basis: str, p_mix: float = 0.0) -> flo
 
 def von_neumann_entropy(tomogram) -> float:
     """Entropy in bits of the state reconstructed from the tomogram."""
-    from siqrng.qubit import binary_entropy
-
     return binary_entropy((1.0 + tomogram.purity_radius) / 2.0)
+
+
+# The scalar rates, one tomogram or one distribution at a time: oracles for the
+# array path that `certify` and `compare` run.
+
+# Tolerance on the normalization of an outcome distribution.
+DISTRIBUTION_TOL = 1e-9
+
+
+def shannon_entropy(dist: Sequence[float]) -> float:
+    """Shannon entropy in bits of a normalized outcome distribution."""
+    probs = [float(v) for v in dist]
+    if len(probs) < 2:
+        raise ValueError("distribution needs at least two outcomes")
+    if not all(map(math.isfinite, probs)):
+        # NaN fails every comparison below, so it would pass them all
+        raise ValueError(f"non-finite probability in distribution: {probs}")
+    if min(probs) < 0.0:
+        raise ValueError(f"negative probability in distribution: {probs}")
+    if abs(sum(probs) - 1.0) > DISTRIBUTION_TOL:
+        raise ValueError(f"distribution not normalized: sum = {sum(probs)!r}")
+    return -sum(v * math.log2(v) for v in probs if v > 0.0)
+
+
+@dataclass(frozen=True)
+class QubitTomogram:
+    """Zero-outcome probabilities of the three Pauli measurements.
+
+    The Bloch vector of the reconstructed state is
+    (2 p_x - 1, 2 p_y - 1, 2 p_z - 1).  Construction only checks that each
+    probability lies in [0, 1]; consistency with a positive density matrix
+    is reported by is_physical and enforced by the entropy operations, so
+    that inconsistent data can be inspected before being rejected.
+    """
+
+    p_x: float
+    p_y: float
+    p_z: float
+
+    def __post_init__(self) -> None:
+        for name in ("p_x", "p_y", "p_z"):
+            _check_fraction(getattr(self, name), name)
+
+    @property
+    def bloch(self) -> tuple[float, float, float]:
+        return (2.0 * self.p_x - 1.0, 2.0 * self.p_y - 1.0, 2.0 * self.p_z - 1.0)
+
+    @property
+    def bloch_norm(self) -> float:
+        """Unclamped Bloch vector length.  May exceed 1 for inconsistent data."""
+        return _bloch_radius(self.p_x, self.p_y, self.p_z, _MATH_OPS)
+
+    @property
+    def is_physical(self) -> bool:
+        return self.bloch_norm <= 1.0 + PHYSICALITY_TOL
+
+    @property
+    def purity_radius(self) -> float:
+        """Bloch length clamped to the unit ball; raises when clearly outside it."""
+        r = self.bloch_norm
+        if r > 1.0 + PHYSICALITY_TOL:
+            raise NonphysicalStateError(self.p_x, self.p_y, self.p_z, r)
+        return min(r, 1.0)
+
+
+def coherence_rel_entropy(tomogram: QubitTomogram) -> float:
+    """Relative entropy of coherence in the Z eigenbasis, in bits.
+
+    Equals h(p_z) minus the state entropy.  The difference is provably
+    nonnegative for physical tomograms; float dust a few ulps below zero is
+    clamped so callers can rely on a rate in [0, 1].
+    """
+    return _coherence(tomogram.p_z, tomogram.purity_radius, _MATH_OPS)
+
+
+def witness_value(xi_distribution: Sequence[float]) -> float:
+    """Uniformly mixing coherence witness W = H(dist) - log2(d).
+
+    Nonpositive for any distribution, and zero exactly when the observed
+    distribution in the mutually unbiased basis is uniform (no certifiable
+    coherence).
+    """
+    return shannon_entropy(xi_distribution) - math.log2(len(xi_distribution))
+
+
+def witness_coherence_bound(xi_distribution: Sequence[float]) -> float:
+    """Certified coherence lower bound -W = log2(d) - H(dist) from witness data, d = len(dist)."""
+    return 0.0 - witness_value(xi_distribution)  # not -W, which is -0.0 for uniform data
 
 
 def per_pulse_sample(config, seed: int):

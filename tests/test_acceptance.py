@@ -12,48 +12,59 @@ import math
 import numpy as np
 import pytest
 
-from siqrng.acquisition import MIN_ENTROPY_COEFF, MIN_ENTROPY_COEFF_2DP, EpsilonBudget, finite_size_floor
+from siqrng import cli
+from siqrng.acquisition import MIN_ENTROPY_COEFF, MIN_ENTROPY_COEFF_2DP, EpsilonBudget, certify, finite_size_floor
 from siqrng.cli import main
 from siqrng.detector import ExperimentConfig, analytic_click_stats, mc_sample
 from siqrng.extractor import ToeplitzSpec, toeplitz_extract, toeplitz_matrix
 from siqrng.optimizer import optimize
-from siqrng.qubit import (
-    QubitTomogram,
-    binary_entropy,
-    coherence_rel_entropy,
-    witness_coherence_bound,
-)
+from siqrng.qubit import binary_entropy, binary_entropy_arr
 
-from conftest import random_tomogram_array, von_neumann_entropy
+from conftest import QubitTomogram, coherence_rel_entropy, random_tomogram_array, von_neumann_entropy
 
 BUDGET = EpsilonBudget.uniform(1e-10)
 
 
-def test_01_tomography_dominates_witness_on_unit_disk():
+@pytest.fixture
+def compare_columns(monkeypatch, tmp_path):
+    """Run `compare --step 0.05 --out` and return its CSV rows and the float columns behind their text."""
+    columns = {}
+    write_csv = cli._write_csv
+
+    def capture(out, header, data):
+        columns.update(zip(header, data))
+        write_csv(out, header, data)
+
+    monkeypatch.setattr(cli, "_write_csv", capture)
+    path = tmp_path / "compare.csv"
+    assert main(["compare", "--step", "0.05", "--out", str(path)]) == 0
+    return path.read_text().splitlines(), columns
+
+
+def test_01_tomography_dominates_witness_on_unit_disk(compare_columns):
     # 0.05-step grid over the Bloch x-y disk: the tomography rate never loses,
     # and the two certificates coincide on the y = 0 slice
+    lines, columns = compare_columns
     axis = np.round(np.arange(-20, 21) * 0.05, 10)
-    checked = 0
-    for x in axis:
-        for y in axis:
-            if x * x + y * y > 1.0 + 1e-9:
-                continue
-            p_x = (1.0 + x) / 2.0
-            r_u = witness_coherence_bound((p_x, 1.0 - p_x))
-            r_t = coherence_rel_entropy(QubitTomogram(p_x, (1.0 + y) / 2.0, 0.5))
-            assert r_t - r_u >= -1e-12, (x, y)
-            if y == 0.0:
-                assert abs(r_t - r_u) <= 1e-9, (x, y)
-            checked += 1
-    assert checked == 1257  # every grid point inside the closed disk
+    disk = [(x, y) for x in axis for y in axis if x * x + y * y <= 1.0 + 1e-9]
+    assert len(disk) == 1257  # every grid point inside the closed disk
+    assert lines[0] == "x,y,rate_witness,rate_tomography,gap" and len(lines) == 1 + 1257
+    assert list(zip(columns["x"].tolist(), columns["y"].tolist())) == disk
+    x, y, r_u, r_t = (columns[key] for key in ("x", "y", "rate_witness", "rate_tomography"))
+    for i in range(x.size):
+        assert r_t[i] - r_u[i] >= -1e-12, (x[i], y[i])
+        if y[i] == 0.0:
+            assert abs(r_t[i] - r_u[i]) <= 1e-9, (x[i], y[i])
 
 
-def test_02_circular_state_witness_blind_tomography_full():
+def test_02_circular_state_witness_blind_tomography_full(compare_columns):
     # the state with p_y = 1 looks uniform to the X-basis witness (rate 0)
     # while tomography certifies the full bit
-    assert witness_coherence_bound((0.5, 0.5)) == 0.0
-    rate = coherence_rel_entropy(QubitTomogram(0.5, 1.0, 0.5))
-    assert abs(rate - 1.0) <= 1e-12
+    lines, columns = compare_columns
+    (row,) = np.flatnonzero((columns["x"] == 0.0) & (columns["y"] == 1.0))
+    assert lines[1 + row].startswith("0,1,0,1,")
+    assert columns["rate_witness"][row] == 0.0
+    assert abs(columns["rate_tomography"][row] - 1.0) <= 1e-12
 
 
 def test_03_optimal_intensity_for_three_noise_levels():
@@ -111,10 +122,19 @@ def test_06_entropic_uncertainty_relation():
 
 
 def test_07_witness_lower_bounds_coherence():
-    for p_x, p_y, p_z in random_tomogram_array(10_000, seed=103):
-        c = coherence_rel_entropy(QubitTomogram(p_x, p_y, p_z))
-        assert c >= 1.0 - binary_entropy(p_x) - 1e-9
-        assert c >= 1.0 - binary_entropy(p_y) - 1e-9
+    # counts of 1e6 pulses per basis from states across the Bloch ball, certified on
+    # both backends: the coherence is at least the witness of its own adjusted p_x and p_y
+    p = random_tomogram_array(10_000, seed=103).T
+    counts = [(1e6 * p_j, 1e6 * (1.0 - p_j), np.zeros_like(p_j)) for p_j in p]
+    grid = certify(*counts, 3e6, BUDGET)
+    assert grid.physical.all() and grid.above_floor.all()
+    assert np.all(grid.coherence >= 1.0 - binary_entropy_arr(grid.x.adjusted) - 1e-9)
+    assert np.all(grid.coherence >= 1.0 - binary_entropy_arr(grid.y.adjusted) - 1e-9)
+    for i in range(p.shape[1]):
+        cert = certify(*([float(c[i]) for c in triple] for triple in counts), 3e6, BUDGET)
+        assert cert.physical and cert.above_floor
+        assert cert.coherence >= 1.0 - binary_entropy(cert.x.adjusted) - 1e-9
+        assert cert.coherence >= 1.0 - binary_entropy(cert.y.adjusted) - 1e-9
 
 
 def test_08_coherence_derivative_sign_pattern():

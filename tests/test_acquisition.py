@@ -22,9 +22,9 @@ from siqrng.acquisition import (
     total_epsilon,
     write_counts,
 )
-from siqrng.qubit import PHYSICALITY_TOL, QubitTomogram, coherence_rel_entropy
+from siqrng.qubit import PHYSICALITY_TOL
 
-from conftest import random_tomogram_array
+from conftest import QubitTomogram, coherence_rel_entropy, random_tomogram_array
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -134,6 +134,7 @@ class TestSquash:
         for cert in both_backends(x=(9e6, 5e5, 5e5), y=(0, 0, 0), z=(4.5e7, 4.5e7, 1e7), n_pulses=2e8):
             assert cert.status == "no_clicks"
             assert cert.net_bits == 0.0
+            assert np.isnan(cert.coherence)  # the entropy of an undefined state is not 0
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):

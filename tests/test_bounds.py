@@ -1,14 +1,15 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from siqrng.acquisition import MIN_ENTROPY_COEFF, EpsilonBudget, certify, finite_size_floor, smoothing_log_term
-from siqrng.qubit import QubitTomogram, binary_entropy, coherence_rel_entropy, witness_coherence_bound
+from siqrng.qubit import binary_entropy
 
-from conftest import random_tomogram_array
+from conftest import QubitTomogram, coherence_rel_entropy, random_tomogram_array, witness_coherence_bound
 
 BUDGET = EpsilonBudget.uniform()
 counts_strategy = st.tuples(*[st.integers(min_value=0, max_value=10**6)] * 3)
@@ -91,6 +92,15 @@ class TestMinEntropyBound:
         if cert.status in ("no_clicks", "nonphysical"):
             return
         assert 0.0 <= cert.coherence <= 1.0
+
+    def test_no_transverse_purity_floors_the_dust_at_zero(self):
+        # balanced X and Y leave no coherence: h(p_z) less the state entropy is float
+        # dust of either sign (-6.7e-16 to 6.7e-16 over this Z sweep), and no less than 0
+        z = np.arange(1001)
+        grid = certify((500, 500, 0), (500, 500, 0), (z, 1000 - z, 0), 1e4, BUDGET).coherence
+        scalar = [certify((500, 500, 0), (500, 500, 0), (k, 1000 - k, 0), 1e4, BUDGET).coherence for k in range(1001)]
+        for coherence in (grid, np.array(scalar)):
+            assert coherence.min() == 0.0 and coherence.max() <= 1e-15
 
     def test_monotone_in_coherence(self):
         certs = [transverse_cert(p_x, 1e6, 1e6) for p_x in (0.6, 0.7, 0.8, 0.9, 1.0)]

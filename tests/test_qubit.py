@@ -6,18 +6,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from siqrng.detector import ExperimentConfig
-from siqrng.qubit import (
-    NonphysicalStateError,
+from siqrng.qubit import NonphysicalStateError, binary_entropy, binary_entropy_arr
+
+from conftest import (
     QubitTomogram,
-    binary_entropy,
-    binary_entropy_arr,
     coherence_rel_entropy,
+    double_click_prob,
+    random_tomogram_array,
     shannon_entropy,
+    von_neumann_entropy,
     witness_coherence_bound,
     witness_value,
 )
-
-from conftest import double_click_prob, random_tomogram_array, von_neumann_entropy
 
 
 def physical_tomograms(count: int, seed: int) -> list[QubitTomogram]:
@@ -109,8 +109,8 @@ class TestTomogram:
         with pytest.raises(NonphysicalStateError) as caught:
             t.purity_radius
         assert str(caught.value) == (
-            "Bloch vector length 1.41421356237 exceeds 1: tomogram "
-            "QubitTomogram(p_x=1.0, p_y=1.0, p_z=0.5) does not describe a qubit state"
+            "Bloch vector length 1.41421356237 exceeds 1: adjusted probabilities "
+            "(p_x=1.0, p_y=1.0, p_z=0.5) do not describe a qubit state"
         )
 
     def test_radius_clamped_within_tolerance(self):

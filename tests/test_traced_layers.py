@@ -18,7 +18,6 @@ TRACED_ROWS = [
     "optimizer.optimize",
     "optimizer.rate_surface",
     "qubit.binary_entropy_arr",
-    "qubit.coherence_rel_entropy",
     "acquisition.read_counts",
     "acquisition.certify",
     "cli.build_parser",
