@@ -11,8 +11,10 @@ Subcommands:
 All documents are plain 'key: value' lines with the full resolved
 configuration echoed under config.*; identical invocations produce
 byte-identical output.  Machine-readable data is written as CSV with a
-header row.  Exit status 0 covers the 'no positive rate' outcome; failures
-report the pipeline stage that rejected the input and exit nonzero.
+header row.  Each command returns its report and at most one file writer;
+`main` alone writes, the --out or --trace-out file before stdout, so a failed
+write prints no report.  Exit status 0 covers the 'no positive rate' outcome;
+failures report the pipeline stage that rejected the input and exit nonzero.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import functools
 import json
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +72,9 @@ MAX_GRID_POINTS = 1000
 MAX_REFINE_LEVELS = 30
 
 _CSV_CHUNK_ROWS = 4096  # rows per CSV write, at most ~0.35 MB of text
+
+# A command's report (key/value document, (header, columns) table or bit text) and its file writer or None.
+_Result = tuple[object, Callable[[], object] | None]
 
 
 class CliError(Exception):
@@ -119,6 +124,11 @@ def _write_csv(out, header: list[str], columns: Sequence[Sequence[object]]) -> N
         parts = (c[start : start + _CSV_CHUNK_ROWS] for c in columns)
         cells = [part.tolist() if f else list(map(_fmt, part)) for part, f in zip(parts, floats)]
         out.write("".join([line % row for row in zip(*cells)]))
+
+
+def _save_csv(path: str, header: list[str], columns: Sequence[Sequence[object]]) -> None:
+    with open(path, "w") as csv:
+        _write_csv(csv, header, columns)
 
 
 def _budget_from_args(args) -> EpsilonBudget:
@@ -277,7 +287,7 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def cmd_rate(args, out) -> int:
+def cmd_rate(args) -> _Result:
     with _stage("configuration"):
         budget = _budget_from_args(args)
         if not (args.counts or args.counts_inline or args.simulate):
@@ -336,16 +346,13 @@ def cmd_rate(args, out) -> int:
         ("penalty_coeff", MIN_ENTROPY_COEFF),
         ("penalty_coeff_2dp", MIN_ENTROPY_COEFF_2DP),
     ]
-    with _stage("writing output"):
-        _emit(doc, out)
-        if args.out:
-            header = ["n_z", *(key for key in _CERT_FIELDS if key != "n_z")]
-            with open(args.out, "w") as csv:
-                _write_csv(csv, header, [[getattr(cert, key)] for key in header])
-    return 0
+    if not args.out:
+        return doc, None
+    header = ["n_z", *(key for key in _CERT_FIELDS if key != "n_z")]
+    return doc, functools.partial(_save_csv, args.out, header, [[getattr(cert, key)] for key in header])
 
 
-def cmd_compare(args, out) -> int:
+def cmd_compare(args) -> _Result:
     step = args.step
     with _stage("configuration"):
         if not 0.0 < step <= 1.0:
@@ -368,24 +375,17 @@ def cmd_compare(args, out) -> int:
         gap = r_t - r_u
     header = ["x", "y", "rate_witness", "rate_tomography", "gap"]
     columns = (x, y, r_u, r_t, gap)
-    with _stage("writing output"):
-        if args.out:
-            with open(args.out, "w") as csv:
-                _write_csv(csv, header, columns)
-            _emit(
-                [
-                    ("command", "compare"),
-                    ("config.step", step),
-                    ("points", x.size),
-                    ("min_gap", float(gap.min())),
-                    ("max_abs_gap_on_axis", float(np.abs(gap[y == 0.0]).max(initial=0.0))),
-                    ("out", args.out),
-                ],
-                out,
-            )
-        else:
-            _write_csv(out, header, columns)
-    return 0
+    if not args.out:
+        return (header, columns), None
+    doc = [
+        ("command", "compare"),
+        ("config.step", step),
+        ("points", x.size),
+        ("min_gap", float(gap.min())),
+        ("max_abs_gap_on_axis", float(np.abs(gap[y == 0.0]).max(initial=0.0))),
+        ("out", args.out),
+    ]
+    return doc, functools.partial(_save_csv, args.out, header, columns)
 
 
 def _simulate(args, flag: str) -> tuple[ExperimentConfig, ClickStats, list[tuple[str, object]]]:
@@ -404,7 +404,7 @@ def _simulate(args, flag: str) -> tuple[ExperimentConfig, ClickStats, list[tuple
     return config, stats, echo
 
 
-def cmd_simulate(args, out) -> int:
+def cmd_simulate(args) -> _Result:
     _, stats, echo = _simulate(args, "simulate")
     doc: list[tuple[str, object]] = [("command", "simulate"), *echo]
     for name in ("x", "y", "z"):
@@ -418,16 +418,12 @@ def cmd_simulate(args, out) -> int:
         ]
         if counts.n > 0:
             doc.append((f"double_fraction.{name}", counts.nd / counts.n))
-    with _stage("writing output"):
-        _emit(doc, out)
-        if args.out:
-            if not args.mc:
-                stats = ClickRecord(*(BasisCounts(*map(round, c)) for c in (stats.x, stats.y, stats.z)))
-            write_counts(args.out, stats)
-    return 0
+    if args.out and not args.mc:
+        stats = ClickRecord(*(BasisCounts(*map(round, c)) for c in (stats.x, stats.y, stats.z)))
+    return doc, functools.partial(write_counts, args.out, stats) if args.out else None
 
 
-def cmd_optimize(args, out) -> int:
+def cmd_optimize(args) -> _Result:
     with _stage("configuration"):
         budget = _budget_from_args(args)
         if not 0.0 < args.eta <= 1.0:
@@ -467,15 +463,11 @@ def cmd_optimize(args, out) -> int:
         ("rate_opt", result.rate_opt),
         ("evaluations", result.evaluations),
     ]
-    with _stage("writing output"):
-        _emit(doc, out)
-        if args.trace_out:
-            with open(args.trace_out, "w") as csv:
-                _write_csv(csv, ["mu", "q", "rate"], result.trace.T)
-    return 0
+    save = functools.partial(_save_csv, args.trace_out, ["mu", "q", "rate"], result.trace.T)
+    return doc, save if args.trace_out else None
 
 
-def cmd_extract(args, out) -> int:
+def cmd_extract(args) -> _Result:
     with _stage("configuration"):
         if args.m is not None:
             m = args.m
@@ -498,24 +490,11 @@ def cmd_extract(args, out) -> int:
     with _stage("extraction"):
         spec = ToeplitzSpec(input_length=raw.size, output_length=m, seed=seed)
         result = toeplitz_extract(raw, spec)
-    with _stage("writing output"):
-        if args.out:
-            write_bits(args.out, result, args.format)
-            _emit(
-                [
-                    ("command", "extract"),
-                    ("config.input", args.input),
-                    ("config.seed_file", args.seed_file),
-                    ("config.format", args.format),
-                    ("n", raw.size),
-                    ("m", m),
-                    ("out", args.out),
-                ],
-                out,
-            )
-        else:
-            out.write(format_bit_string(result) + "\n")
-    return 0
+    if not args.out:
+        return format_bit_string(result) + "\n", None
+    doc = [("command", "extract"), ("config.input", args.input), ("config.seed_file", args.seed_file)]
+    doc += [("config.format", args.format), ("n", raw.size), ("m", m), ("out", args.out)]
+    return doc, functools.partial(write_bits, args.out, result, args.format)
 
 
 _COMMANDS = {
@@ -537,7 +516,17 @@ def main(argv: list[str] | None = None) -> int:
             args = sub.choices[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         else:
             args = parser.parse_args(argv)  # prints help or raises error[arguments]
-        return _COMMANDS[args.command](args, sys.stdout)
+        report, save = _COMMANDS[args.command](args)
+        with _stage("writing output"):
+            if save is not None:
+                save()
+            if isinstance(report, str):
+                sys.stdout.write(report)
+            elif isinstance(report, tuple):
+                _write_csv(sys.stdout, *report)
+            else:
+                _emit(report, sys.stdout)
+        return 0
     except CliError as e:
         print(f"error[{e.stage}]: {e.message}", file=sys.stderr)
         return 2

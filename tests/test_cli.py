@@ -599,24 +599,40 @@ def stage_files(tmp_path, counts_file):
     }
 
 
+# One successful command line per subcommand, and the flag naming the file it can write.
+COMMAND_ARGVS = {
+    "rate": (["rate", "--counts", "F", "--N", "12000"], "--out"),
+    "simulate": (["simulate", "--N", "1e6", "--q", "0.05", "--mu0", "1"], "--out"),
+    "optimize": (["optimize", "--N", "1e8", *SMALL_GRID], "--trace-out"),
+    "compare": (["compare", "--step", "0.5"], "--out"),
+    "extract": (["extract", "--input", "RAW", "--seed-file", "SEED", "--n", "3", "--m", "2"], "--out"),
+}
+
+
 class TestStages:
     """Every failure names the pipeline stage that refused it."""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["rate", "--counts", "F", "--N", "12000"],
-            ["simulate", "--N", "1e6", "--q", "0.05", "--mu0", "1"],
-            ["optimize", "--N", "1e8", *SMALL_GRID],
-            ["compare", "--step", "0.5"],
-            ["extract", "--input", "RAW", "--seed-file", "SEED", "--n", "3", "--m", "2"],
-        ],
-        ids=["rate", "simulate", "optimize", "compare", "extract"],
-    )
-    def test_failing_stdout_is_writing_output(self, capsys, monkeypatch, stage_files, argv):
+    @pytest.mark.parametrize("name", COMMAND_ARGVS)
+    def test_failing_stdout_is_writing_output(self, capsys, monkeypatch, stage_files, name):
         monkeypatch.setattr(sys, "stdout", BrokenStdout())
-        assert main([stage_files.get(arg, arg) for arg in argv]) == 2
+        assert main([stage_files.get(arg, arg) for arg in COMMAND_ARGVS[name][0]]) == 2
         assert capsys.readouterr().err == "error[writing output]: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("name", COMMAND_ARGVS)
+    def test_commands_write_nothing(self, capsys, monkeypatch, stage_files, tmp_path, name):
+        # a command returns its report and its file writer; only main writes, the file first
+        argv, flag = COMMAND_ARGVS[name]
+        argv = [stage_files.get(arg, arg) for arg in argv]
+        returned, written = tmp_path / "returned", tmp_path / "written"
+        args = _shared_parser().parse_args([*argv, flag, str(returned)])
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", BrokenStdout())
+            report, save = cli._COMMANDS[name](args)
+        assert report and not returned.exists()
+        save()
+        assert main([*argv, flag, str(written)]) == 0
+        capsys.readouterr()
+        assert returned.read_bytes() == written.read_bytes()
 
     @pytest.mark.parametrize(
         "stage, argv",
@@ -625,6 +641,7 @@ class TestStages:
             ("writing output", ["simulate", "--N", "1e6", "--q", "0.05", "--mu0", "1", "--out", "BAD"]),
             ("writing output", ["compare", "--step", "0.5", "--out", "BAD"]),
             ("writing output", ["optimize", "--N", "1e8", *SMALL_GRID, "--trace-out", "BAD"]),
+            ("writing output", [*COMMAND_ARGVS["extract"][0], "--out", "BAD"]),
             ("config", ["rate", "--config", "MISSING"]),
             ("config", ["rate", "--config", "LIST"]),
             ("configuration", ["rate", "--N", "1000"]),
@@ -637,15 +654,17 @@ class TestStages:
             ("extraction", ["extract", "--input", "RAW", "--seed-file", "SEED", "--m", "4"]),
         ],
         ids=[
-            "rate-out", "simulate-out", "compare-out", "optimize-trace-out", "config-missing", "config-not-object",
-            "rate-no-source", "simulate-no-mu0", "mc-photon-window", "negative-refine-levels", "nan-pulses",
-            "extract-wrong-n", "packed-without-n", "extract-m-above-n",
+            "rate-out", "simulate-out", "compare-out", "optimize-trace-out", "extract-out", "config-missing",
+            "config-not-object", "rate-no-source", "simulate-no-mu0", "mc-photon-window", "negative-refine-levels",
+            "nan-pulses", "extract-wrong-n", "packed-without-n", "extract-m-above-n",
         ],
     )
     def test_failure_stage(self, capsys, stage_files, stage, argv):
-        rc, _, err = run(capsys, [stage_files.get(arg, arg) for arg in argv])
+        rc, out, err = run(capsys, [stage_files.get(arg, arg) for arg in argv])
         assert rc == 2
         assert err.startswith(f"error[{stage}]: ") and err.count("\n") == 1
+        if stage == "writing output":
+            assert out == ""  # the file is written before the report, so a failed write prints none
 
     def test_config_that_is_not_utf8_fails_at_config(self, capsys, tmp_path):
         # a UnicodeDecodeError used to escape main as a traceback with exit status 1
