@@ -80,22 +80,12 @@ class BasisCounts:
     def __iter__(self):
         return iter((self.n0, self.n1, self.nd))
 
-    def flipped(self) -> "BasisCounts":
-        """Counts after relabeling the two outcomes."""
-        return BasisCounts(n0=self.n1, n1=self.n0, nd=self.nd)
-
 
 @dataclass(frozen=True)
 class ClickRecord:
     x: BasisCounts
     y: BasisCounts
     z: BasisCounts
-
-    def basis(self, name: str) -> BasisCounts:
-        try:
-            return getattr(self, name.lower())
-        except AttributeError:
-            raise ValueError(f"unknown basis {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -116,12 +106,6 @@ class EpsilonBudget:
     @classmethod
     def uniform(cls, value: float = 1e-10) -> "EpsilonBudget":
         return cls(value, value, value, value, value)
-
-    def for_basis(self, name: str) -> float:
-        try:
-            return getattr(self, f"eps_{name.lower()}")
-        except AttributeError:
-            raise ValueError(f"unknown basis {name!r}") from None
 
 
 def total_epsilon(budget: EpsilonBudget) -> float:
@@ -235,12 +219,11 @@ def certify(x, y, z, n_pulses: float, budget: EpsilonBudget, policy: str = "disc
     with ops.quiet():
         bases = []
         clicks = 0
-        for name, (n0, n1, nd) in zip("xyz", counts):
+        for name, (n0, n1, nd), eps in zip("XYZ", counts, (budget.eps_x, budget.eps_y, budget.eps_z)):
             n = n0 + n1 + nd
             if not ops.valid(n0, n1, nd, n):
-                raise ValueError(f"basis {name.upper()}: counts must be finite and nonnegative")
+                raise ValueError(f"basis {name}: counts must be finite and nonnegative")
             clicks = clicks + n  # not +=: a later basis may broadcast to a larger shape
-            eps = budget.for_basis(name)
             theta = ops.sqrt(ops.div(math.log(1.0 / eps) / 2.0, n))  # Hoeffding: exp(-2 theta^2 n) = eps
             bases.append(BasisEstimate(ops.div(n0, n), ops.div(n0 + nd, n), theta))
         if ops.largest(clicks) > n_pulses:
@@ -289,6 +272,11 @@ def certify(x, y, z, n_pulses: float, budget: EpsilonBudget, policy: str = "disc
 # --- text format: one line per basis, "basis,n0,n1,nd" ---
 
 
+def _as_count(value: float) -> float:
+    """value as an int when it is a whole nonnegative number, so a count prints the same by every route."""
+    return int(value) if value >= 0 and value.is_integer() else value
+
+
 def _parse_count(token: str, line_no: int) -> float:
     try:
         value = float(token)
@@ -296,7 +284,7 @@ def _parse_count(token: str, line_no: int) -> float:
         raise ValueError(f"line {line_no}: count {token!r} is not a number") from None
     if value < 0 or not math.isfinite(value):
         raise ValueError(f"line {line_no}: count {token!r} must be finite and nonnegative")
-    return int(value) if value == int(value) else value
+    return _as_count(value)
 
 
 def parse_counts(text: str) -> ClickRecord:
@@ -331,7 +319,7 @@ def _format_count(value: float) -> str:
 def format_counts(record: ClickRecord) -> str:
     lines = []
     for name in ("x", "y", "z"):
-        lines.append(",".join([name.upper(), *map(_format_count, record.basis(name))]))
+        lines.append(",".join([name.upper(), *map(_format_count, getattr(record, name))]))
     return "\n".join(lines) + "\n"
 
 

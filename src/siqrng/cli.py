@@ -38,6 +38,7 @@ from .acquisition import (
     BasisCounts,
     ClickRecord,
     EpsilonBudget,
+    _as_count,
     certify,
     finite_size_floor,
     read_counts,
@@ -163,7 +164,7 @@ def _counts_from_inline(text: str) -> ClickRecord:
         if not isinstance(triple, list) or len(triple) != 3:
             raise ValueError(f"inline counts need a [n0, n1, nd] triple for basis {name.upper()}")
         try:
-            counts[name] = BasisCounts(*(float(v) for v in triple))
+            counts[name] = BasisCounts(*(_as_count(float(v)) for v in triple))
         except (TypeError, ValueError, OverflowError) as e:
             raise ValueError(f"basis {name.upper()}: {e}") from None
     return ClickRecord(**counts)
@@ -307,7 +308,7 @@ def cmd_rate(args) -> _Result:
         n_pulses = config.n_pulses
 
     # named before certify checks the pulse count, which without --N is the total: 0 when no basis clicked
-    empty = next((name for name in "xyz" if not record.basis(name).n > 0), None)
+    empty = next((name for name in "xyz" if not getattr(record, name).n > 0), None)
     if empty:
         raise CliError("squashing", f"no clicks in basis {empty}")
     with _stage("certification"):
@@ -408,7 +409,7 @@ def cmd_simulate(args) -> _Result:
     _, stats, echo = _simulate(args, "simulate")
     doc: list[tuple[str, object]] = [("command", "simulate"), *echo]
     for name in ("x", "y", "z"):
-        counts = stats.basis(name)
+        counts = getattr(stats, name)
         doc += [
             (f"pulses.{name}", getattr(stats, f"pulses_{name}")),
             (f"counts.{name}.n0", counts.n0),
@@ -430,8 +431,8 @@ def cmd_optimize(args) -> _Result:
             raise ValueError(f"eta must lie in (0, 1]: {args.eta!r}")
         if args.refine_levels > MAX_REFINE_LEVELS:
             raise ValueError(f"refine levels {args.refine_levels} exceed the cap of {MAX_REFINE_LEVELS}")
-        mu_grid = _parse_grid(args.mu_grid) if args.mu_grid else None
-        q_grid = _parse_grid(args.q_grid) if args.q_grid else None
+        mu_grid = _parse_grid(args.mu_grid) if args.mu_grid else DEFAULT_MU_GRID
+        q_grid = _parse_grid(args.q_grid) if args.q_grid else DEFAULT_Q_GRID
     with _stage("optimization"):
         result = optimize(
             n_pulses=args.N,
@@ -442,8 +443,6 @@ def cmd_optimize(args) -> _Result:
             q_grid=q_grid,
             refine_levels=args.refine_levels,
         )
-    mu_axis = DEFAULT_MU_GRID if mu_grid is None else mu_grid
-    q_axis = DEFAULT_Q_GRID if q_grid is None else q_grid
     doc: list[tuple[str, object]] = [
         ("command", "optimize"),
         ("status", result.status),
@@ -454,8 +453,8 @@ def cmd_optimize(args) -> _Result:
     doc += _echo_budget(budget)
     doc += [
         ("config.policy", args.policy),
-        ("config.mu_grid", f"{mu_axis[0]:.9g}:{mu_axis[-1]:.9g}:{len(mu_axis)}"),
-        ("config.q_grid", f"{q_axis[0]:.9g}:{q_axis[-1]:.9g}:{len(q_axis)}"),
+        ("config.mu_grid", f"{mu_grid[0]:.9g}:{mu_grid[-1]:.9g}:{len(mu_grid)}"),
+        ("config.q_grid", f"{q_grid[0]:.9g}:{q_grid[-1]:.9g}:{len(q_grid)}"),
         ("config.refine_levels", args.refine_levels),
         ("mu_opt", result.mu_opt),
         ("q_opt", result.q_opt),
@@ -483,7 +482,7 @@ def cmd_extract(args) -> _Result:
         raw = read_bits(args.input, args.format, args.n)
         if args.n is not None and raw.size != args.n:
             raise ValueError(f"raw file holds {raw.size} bits, expected {args.n}")
-        if m == 0 and args.format == "packed":
+        if m == 0:
             seed = np.zeros(0, dtype=np.uint8)  # an empty hash uses no seed bits
         else:
             seed = read_bits(args.seed_file, args.format, raw.size + m - 1)

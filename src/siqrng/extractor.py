@@ -18,14 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
+from .acquisition import _check_epsilon
+
 # Exact row sums are integers; float64 FFT error at n = 1e7 is ~2e-9.
 ROUNDING_MARGIN = 0.25
 
 
 def output_length(net_bits: float, epsilon2: float) -> int:
     """Extractable output length max(0, floor(net_bits) - ceil(log2(1/eps2)))."""
-    if not 0.0 < epsilon2 < 1.0:
-        raise ValueError(f"epsilon2 must lie strictly in (0, 1): {epsilon2!r}")
+    _check_epsilon(epsilon2, "epsilon2")
     if not math.isfinite(net_bits):
         raise ValueError(f"net_bits must be finite: {net_bits!r}")
     t_e = math.ceil(-math.log2(epsilon2))
@@ -129,7 +130,7 @@ def _seed_spectrum(seed_bytes: bytes, length: int) -> np.ndarray:
     The packed bits and the length fix the padded seed exactly: packing pads
     with zeros, as the transform does, so equal keys have equal spectra.  A
     post-processor reuses its seed block after block, so each hit saves one
-    transform.  _extract_fft keeps spectra of length <= _KEPT_SEED_LENGTH
+    transform.  toeplitz_extract keeps spectra of length <= _KEPT_SEED_LENGTH
     only, so one entry holds at most 16 * (2**16 + 1) bytes of spectrum plus
     2**14 bytes of key, 1.07 MB, and the 8 entries at most 8.5 MB.  Only the
     seed is kept, which the hash family treats as public; raw bits and
@@ -149,21 +150,32 @@ def _staged(bits: np.ndarray, buffer: np.ndarray, length: int) -> np.ndarray:
     return staged
 
 
-def _extract_fft(spec: ToeplitzSpec, raw: np.ndarray) -> np.ndarray:
-    """Row parities from one circular convolution seed * raw of _fft_length(n + m - 1) points.
+def toeplitz_extract(raw_bits, spec: ToeplitzSpec) -> np.ndarray:
+    """Hash raw_bits down to spec.output_length bits: toeplitz_matrix(spec) @ raw mod 2, as the tests multiply it out.
 
-    Row i's sum is entry n - 1 + i; any length >= n + m - 1 wraps only
-    outside the kept rows, and the smallest 5-smooth one is the cheapest.
-    Every per-call FFT-length array lives in the two buffers from _spectra.
-    Up to _KEPT_SEED_LENGTH the seed's spectrum comes from _seed_spectrum,
-    and the raw bits are staged in the first buffer's float view and
-    transformed into the second; a repeated seed then costs one rfft and one
-    irfft.  Above it the seed is staged in the second buffer and transformed
-    into the first, which holds its spectrum for this call only, and rfft
-    casts the raw bits itself, so no third FFT-length array is allocated.
-    The product's inverse lands in the first buffer's float view.  The
-    returned bits are a fresh array; the buffers are scratch for the next call.
+    Row i's sum is entry n - 1 + i of one circular convolution seed * raw of
+    the smallest 5-smooth length (2**a * 3**b * 5**c) >= n + m - 1, which
+    wraps only outside the kept rows: O((n + m) log(n + m)).  ValueError is
+    raised when any sum lies more than ROUNDING_MARGIN from an integer, on
+    every call, whether the seed's spectrum was kept or not.  Every
+    FFT-length array lives in the two buffers from _spectra, which the
+    calling thread keeps for later calls up to 2**20 points (16 bytes a
+    point, about 16 MB); a longer hash allocates its own and keeps nothing.
+    Up to _KEPT_SEED_LENGTH the seed's spectrum comes from _seed_spectrum
+    (8 seeds, at most 8.5 MB), and the raw bits are staged in the first
+    buffer's float view and transformed into the second, so a repeated seed
+    costs one rfft and one irfft.  Above it the seed is staged in the second
+    buffer and transformed into the first, which holds its spectrum for this
+    call only, and rfft casts the raw bits itself, so no third FFT-length
+    array is allocated.  The product's inverse lands in the first buffer's
+    float view.  The returned bits are a fresh array; the buffers are
+    scratch for the next call.
     """
+    raw = _as_bits(raw_bits, "raw_bits")
+    if raw.size != spec.input_length:
+        raise ValueError(f"raw length {raw.size} != spec input_length {spec.input_length}")
+    if spec.output_length == 0:
+        return np.zeros(0, dtype=np.uint8)
     n, m = spec.input_length, spec.output_length
     length = _fft_length(n + m - 1)
     first, second = _spectra(length)
@@ -181,30 +193,6 @@ def _extract_fft(spec: ToeplitzSpec, raw: np.ndarray) -> np.ndarray:
     if not error <= ROUNDING_MARGIN:
         raise ValueError(f"FFT row sums lie {error:.3g} from an integer, past the {ROUNDING_MARGIN} margin")
     return rounded.astype(np.int64).astype(np.uint8) & 1
-
-
-def toeplitz_extract(raw_bits, spec: ToeplitzSpec) -> np.ndarray:
-    """Hash raw_bits down to spec.output_length bits.
-
-    Reads row i's sum off entry n - 1 + i of the convolution seed * raw,
-    computed with FFTs of the smallest 5-smooth length (2**a * 3**b * 5**c)
-    >= n + m - 1 in O((n + m) log(n + m)), and raises ValueError when any
-    sum lies more than ROUNDING_MARGIN from an integer.  The output equals
-    toeplitz_matrix(spec) @ raw mod 2, the product the tests multiply out.
-    The transforms run in buffers the calling thread keeps for its later
-    calls, 16 bytes per FFT point of the longest hash it has run up to
-    2**20 points (about 16 MB); a longer hash allocates its own and keeps
-    nothing.  For FFT lengths up to 2**17 points the process also keeps
-    the spectra of the 8 seeds hashed last, at most 8.5 MB (see _seed_spectrum),
-    so a repeated seed skips its transform; the margin check runs on every
-    call all the same.
-    """
-    raw = _as_bits(raw_bits, "raw_bits")
-    if raw.size != spec.input_length:
-        raise ValueError(f"raw length {raw.size} != spec input_length {spec.input_length}")
-    if spec.output_length == 0:
-        return np.zeros(0, dtype=np.uint8)
-    return _extract_fft(spec, raw)
 
 
 # --- bit-string serialization ---

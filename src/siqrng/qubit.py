@@ -31,7 +31,7 @@ from types import SimpleNamespace
 import numpy as np
 
 # Tolerance on the Bloch-ball constraint: radii within this excess of 1 are
-# clamped to 1 (float dust from squared sums), anything beyond is rejected.
+# accepted as float dust from squared sums, anything beyond is rejected.
 PHYSICALITY_TOL = 1e-9
 
 
@@ -114,6 +114,6 @@ def _bloch_radius(p_x, p_y, p_z, ops):
 
 
 def _coherence(p_z, radius, ops):
-    """h(p_z) less the entropy of the state, its radius clamped to the ball, floored at 0."""
-    state_entropy = ops.entropy((1.0 + ops.minimum(radius, 1.0)) / 2.0)
+    """h(p_z) less the entropy of the state, floored at 0; a radius past 1 has state entropy 0, NaN stays NaN."""
+    state_entropy = ops.entropy((1.0 + radius) / 2.0)
     return ops.maximum(ops.entropy(p_z) - state_entropy, 0.0)

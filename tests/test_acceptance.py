@@ -103,8 +103,8 @@ def test_05_monte_carlo_reproduces_closed_forms():
     for seed in (1, 2, 3):
         sampled = mc_sample(config, seed=seed)
         for name in ("x", "y", "z"):
-            exp_counts = expected.basis(name)
-            got_counts = sampled.basis(name)
+            exp_counts = getattr(expected, name)
+            got_counts = getattr(sampled, name)
             for field in ("n0", "n1", "nd"):
                 mean = getattr(exp_counts, field)
                 got = getattr(got_counts, field)

@@ -296,6 +296,26 @@ class TestRate:
         assert rc == 0
         assert parse_doc(out)["bounds.x.lower"] == "0.9"
 
+    @pytest.mark.parametrize("route", ["inline", "config"])
+    def test_inline_counts_print_like_a_counts_file(self, capsys, tmp_path, route):
+        # integral counts are ints by every route, so totals past 1e9 print in full, not as 7.500007e+09
+        document = '{"X":[1e9,9e8,1000],"Y":[9.5e8,9.5e8,1000],"Z":[1.9e9,1.8e9,5000]}'
+        counts = tmp_path / "counts.txt"
+        counts.write_text("X,1000000000,900000000,1000\nY,950000000,950000000,1000\nZ,1900000000,1800000000,5000\n")
+        if route == "inline":
+            argv = ["rate", "--counts-inline", document]
+        else:
+            config = tmp_path / "run.json"
+            config.write_text('{"counts": %s}' % document)
+            argv = ["rate", "--config", str(config)]
+        rc, out, err = run(capsys, argv)
+        assert (rc, err) == (0, "")
+        rc, file_out, _ = run(capsys, ["rate", "--counts", str(counts)])
+        assert rc == 0
+        doc = parse_doc(out)
+        assert (doc["config.N"], doc["n_z"], doc["surviving_raw_bits"]) == ("7500007000", "3700005000", "3700000000")
+        assert out.replace("config.counts: <inline>", f"config.counts: {counts}") == file_out
+
     def test_missing_source_fails(self, capsys):
         rc, _, err = run(capsys, ["rate", "--N", "1000"])
         assert rc == 2
@@ -1182,9 +1202,9 @@ class TestExtract:
     def test_zero_output_length_writes_empty_output(self, capsys, tmp_path, fmt, empty):
         from siqrng.extractor import write_bits
 
-        raw_path, seed_path, out_path = tmp_path / "raw", tmp_path / "seed", tmp_path / "out"
+        # the seed file is not read at m = 0, in either format
+        raw_path, seed_path, out_path = tmp_path / "raw", tmp_path / "missing", tmp_path / "out"
         write_bits(raw_path, [1, 0, 1, 1, 0, 0, 1, 0, 1], fmt)
-        write_bits(seed_path, [0, 1, 1, 0, 1, 0, 0, 1], fmt)
         rc, out, err = run(
             capsys,
             [

@@ -157,8 +157,8 @@ def assert_within_5_sigma(config: ExperimentConfig, sampled) -> None:
     expected = analytic_click_stats(config)
     n = config.n_pulses
     for name in ("x", "y", "z"):
-        exp_counts = expected.basis(name)
-        got_counts = sampled.basis(name)
+        exp_counts = getattr(expected, name)
+        got_counts = getattr(sampled, name)
         for field in ("n0", "n1", "nd", "n"):
             mean = getattr(exp_counts, field)
             sigma = math.sqrt(n * (mean / n) * (1.0 - mean / n))
@@ -227,8 +227,8 @@ class TestMonteCarlo:
         sampled = mc_sample(config, seed=17)
         n = config.n_pulses
         for name in ("x", "y", "z"):
-            exp_counts = expected.basis(name)
-            got_counts = sampled.basis(name)
+            exp_counts = getattr(expected, name)
+            got_counts = getattr(sampled, name)
             for field in ("n0", "n1", "nd"):
                 mean = getattr(exp_counts, field)
                 got = getattr(got_counts, field)
@@ -254,7 +254,7 @@ class TestMonteCarlo:
         stratified = mc_sample(config, seed=11)
         reference = per_pulse_sample(config, seed=12)
         for name in ("x", "y", "z"):
-            a, b = stratified.basis(name), reference.basis(name)
+            a, b = getattr(stratified, name), getattr(reference, name)
             for field in ("n0", "n1", "nd"):
                 z = two_sample_z(getattr(a, field), getattr(b, field), config.n_pulses)
                 assert z <= 5.0, (name, field, z)
@@ -270,7 +270,6 @@ class TestMonteCarlo:
     def test_stats_are_a_click_record(self):
         stats = mc_sample(BASE, seed=4)
         assert isinstance(stats, ClickRecord)
-        assert stats.basis("Z") is stats.z
         assert format_counts(stats) == format_counts(ClickRecord(stats.x, stats.y, stats.z))
 
     def test_pulses_sum_to_n(self):
@@ -281,7 +280,7 @@ class TestMonteCarlo:
     def test_counts_are_python_ints(self):
         stats = mc_sample(BASE, seed=4)
         for name in ("x", "y", "z"):
-            counts = stats.basis(name)
+            counts = getattr(stats, name)
             assert all(type(v) is int for v in (counts.n0, counts.n1, counts.nd))
             assert type(getattr(stats, f"pulses_{name}")) is int
 
@@ -296,7 +295,7 @@ class TestMonteCarlo:
         config = ExperimentConfig(n_pulses=10_000, q=0.1, mu0=1.0, eta=0.0, p_mix=0.5)
         stats = mc_sample(config, seed=3)
         for name in ("x", "y", "z"):
-            assert stats.basis(name).n == 0
+            assert getattr(stats, name).n == 0
 
     def test_rejects_fractional_pulse_count(self):
         config = ExperimentConfig(n_pulses=1000.5, q=0.1, mu0=1.0, eta=1.0, p_mix=0.0)
