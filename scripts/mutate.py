@@ -8,6 +8,7 @@ file, then applies one mutant at a time and runs its test files with
 pytest -x -q, one pytest process at a time.  The run fails when a mutant
 survives, when its original text no longer occurs exactly once (a stale
 table), or when a mutant breaks collection instead of failing a test.
+tests/test_package.py runs the same stale-table check with every test run.
 
 Usage:
     python scripts/mutate.py
@@ -37,19 +38,25 @@ def run_tests(copy: Path, tests: list[str]) -> int:
     return subprocess.run(command, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 
+def stale_entries(root: Path, mutants: list[dict]) -> list[str]:
+    """One line for each mutant whose original text does not occur exactly once in its file under root."""
+    failures = []
+    for mutant in mutants:
+        found = (root / mutant["file"]).read_text().count(mutant["original"])
+        if found != 1:
+            failures.append(f"{mutant['name']}: original text occurs {found} times in {mutant['file']}")
+    return failures
+
+
 def main() -> int:
     mutants = json.loads(TABLE.read_text())
-    failures = []
     with tempfile.TemporaryDirectory(prefix="siqrng-mutate-") as tmp:
         copy = Path(tmp)
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
 
-        for mutant in mutants:
-            found = (copy / mutant["file"]).read_text().count(mutant["original"])
-            if found != 1:
-                failures.append(f"{mutant['name']}: original text occurs {found} times in {mutant['file']}")
+        failures = stale_entries(copy, mutants)
         if failures:
             print("\n".join(failures))
             return 1

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .qubit import PHYSICALITY_TOL, _MATH_OPS, _NUMPY_OPS, _bloch_radius, _coherence, _maximum
+from .qubit import PHYSICALITY_TOL, _MATH_OPS, _NUMPY_OPS, _bloch_radius, _coherence
 
 POLICIES = ("discard", "assign")
 
@@ -125,37 +125,19 @@ def total_epsilon(budget: EpsilonBudget) -> float:
 STATUSES = ("no_clicks", "nonphysical", "below_floor", "no_positive_rate", "ok")
 
 
-def _max(a, b):
-    """The maximum of either backend, for the values a BasisEstimate derives on access."""
-    return np.maximum(a, b) if isinstance(a, np.ndarray) else _maximum(a, b)
-
-
 @dataclass(frozen=True)
 class BasisEstimate:
     """One basis of a certificate, from squashed interval to adjusted probability.
 
-    The derived values are computed on access, so that a grid keeps three
-    arrays per basis rather than six.
+    `certify` computes every field once, with the backend it chose: numbers, or arrays of cells.
     """
 
     lower: float  # NaN when the basis has no clicks
     upper: float
+    worst: float  # the interval point closest to 1/2, after relabeling
+    flipped: bool  # the interval lies below 1/2, so the labels were swapped
     theta: float
-
-    @property
-    def flipped(self) -> bool:
-        """The interval lies below 1/2, so the labels were swapped."""
-        return self.upper < 0.5
-
-    @property
-    def worst(self) -> float:
-        """The interval point closest to 1/2, after relabeling."""
-        return _max(_max(self.lower, 1.0 - self.upper), 0.5)
-
-    @property
-    def adjusted(self) -> float:
-        """worst - theta, floored at 1/2."""
-        return _max(self.worst - self.theta, 0.5)
+    adjusted: float  # worst - theta, floored at 1/2
 
 
 @dataclass(frozen=True)
@@ -225,7 +207,9 @@ def certify(x, y, z, n_pulses: float, budget: EpsilonBudget, policy: str = "disc
                 raise ValueError(f"basis {name}: counts must be finite and nonnegative")
             clicks = clicks + n  # not +=: a later basis may broadcast to a larger shape
             theta = ops.sqrt(ops.div(math.log(1.0 / eps) / 2.0, n))  # Hoeffding: exp(-2 theta^2 n) = eps
-            bases.append(BasisEstimate(ops.div(n0, n), ops.div(n0 + nd, n), theta))
+            lower, upper = ops.div(n0, n), ops.div(n0 + nd, n)
+            worst = ops.maximum(ops.maximum(lower, 1.0 - upper), 0.5)
+            bases.append(BasisEstimate(lower, upper, worst, upper < 0.5, theta, ops.maximum(worst - theta, 0.5)))
         if ops.largest(clicks) > n_pulses:
             # each pulse yields at most one recorded outcome
             raise ValueError(f"counts hold {ops.largest(clicks):.9g} clicks, more than the {n_pulses:.9g} pulses")
@@ -277,19 +261,33 @@ def _as_count(value: float) -> float:
     return int(value) if value >= 0 and value.is_integer() else value
 
 
-def _parse_count(token: str, line_no: int) -> float:
+def _parse_count(token: str, where: str) -> float:
     try:
         value = float(token)
     except ValueError:
-        raise ValueError(f"line {line_no}: count {token!r} is not a number") from None
+        raise ValueError(f"{where}: count {token!r} is not a number") from None
     if value < 0 or not math.isfinite(value):
-        raise ValueError(f"line {line_no}: count {token!r} must be finite and nonnegative")
+        raise ValueError(f"{where}: count {token!r} must be finite and nonnegative")
     return _as_count(value)
 
 
-def parse_counts(text: str) -> ClickRecord:
-    """Parse a counts document: 'basis,n0,n1,nd' per line, '#' comments allowed."""
+def _read_count_rows(rows) -> ClickRecord:
+    """The record of (where, basis, tokens) rows, one per basis; where ('line N', 'basis B') prefixes a row's errors."""
     seen: dict[str, BasisCounts] = {}
+    for where, basis, tokens in rows:
+        name = basis.lower()
+        if name not in ("x", "y", "z"):
+            raise ValueError(f"{where}: unknown basis {basis!r}")
+        if name in seen:
+            raise ValueError(f"{where}: duplicate basis {basis!r}")
+        seen[name] = BasisCounts(*(_parse_count(tok, where) for tok in tokens))
+    missing = [b for b in ("x", "y", "z") if b not in seen]
+    if missing:
+        raise ValueError(f"missing basis line(s): {', '.join(b.upper() for b in missing)}")
+    return ClickRecord(**seen)
+
+
+def _count_lines(text: str):
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -297,29 +295,18 @@ def parse_counts(text: str) -> ClickRecord:
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 4:
             raise ValueError(f"line {line_no}: expected 'basis,n0,n1,nd', got {raw_line!r}")
-        basis = fields[0].lower()
-        if basis not in ("x", "y", "z"):
-            raise ValueError(f"line {line_no}: unknown basis {fields[0]!r}")
-        if basis in seen:
-            raise ValueError(f"line {line_no}: duplicate basis {fields[0]!r}")
-        n0, n1, nd = (_parse_count(tok, line_no) for tok in fields[1:])
-        seen[basis] = BasisCounts(n0=n0, n1=n1, nd=nd)
-    missing = [b for b in ("x", "y", "z") if b not in seen]
-    if missing:
-        raise ValueError(f"missing basis line(s): {', '.join(b.upper() for b in missing)}")
-    return ClickRecord(x=seen["x"], y=seen["y"], z=seen["z"])
+        yield f"line {line_no}", fields[0], fields[1:]
 
 
-def _format_count(value: float) -> str:
-    """Text that parses back to the same count: integers in full, other floats by repr."""
-    value = float(value)  # a numpy scalar's repr would name its type
-    return str(int(value)) if value.is_integer() else repr(value)
+def parse_counts(text: str) -> ClickRecord:
+    """Parse a counts document: 'basis,n0,n1,nd' per line, '#' comments allowed."""
+    return _read_count_rows(_count_lines(text))
 
 
 def format_counts(record: ClickRecord) -> str:
     lines = []
-    for name in ("x", "y", "z"):
-        lines.append(",".join([name.upper(), *map(_format_count, getattr(record, name))]))
+    for name in ("x", "y", "z"):  # float() first: an int has no is_integer before Python 3.12
+        lines.append(",".join([name.upper(), *(str(_as_count(float(v))) for v in getattr(record, name))]))
     return "\n".join(lines) + "\n"
 
 

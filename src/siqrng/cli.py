@@ -38,7 +38,7 @@ from .acquisition import (
     BasisCounts,
     ClickRecord,
     EpsilonBudget,
-    _as_count,
+    _read_count_rows,
     certify,
     finite_size_floor,
     read_counts,
@@ -154,20 +154,14 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _counts_from_inline(text: str) -> ClickRecord:
-    """Counts from a JSON object of [n0, n1, nd] triples, held to the file format's checks."""
+    """Counts from a JSON object of [n0, n1, nd] triples, each entry read as its JSON text in a counts file would be."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("inline counts must be a JSON object")
-    counts = {}
-    for name in ("x", "y", "z"):
-        triple = data.get(name, data.get(name.upper()))
+    for key, triple in data.items():
         if not isinstance(triple, list) or len(triple) != 3:
-            raise ValueError(f"inline counts need a [n0, n1, nd] triple for basis {name.upper()}")
-        try:
-            counts[name] = BasisCounts(*(_as_count(float(v)) for v in triple))
-        except (TypeError, ValueError, OverflowError) as e:
-            raise ValueError(f"basis {name.upper()}: {e}") from None
-    return ClickRecord(**counts)
+            raise ValueError(f"inline counts need a [n0, n1, nd] triple for basis {key}")
+    return _read_count_rows((f"basis {key}", key, [json.dumps(v) for v in triple]) for key, triple in data.items())
 
 
 def _expand_config_args(argv: list[str]) -> list[str]:
@@ -477,8 +471,6 @@ def cmd_extract(args) -> _Result:
         if m < 0:
             raise ValueError(f"output length must be nonnegative: {m}")
     with _stage("reading bits"):
-        if args.format == "packed" and args.n is None:
-            raise ValueError("packed input needs --n")
         raw = read_bits(args.input, args.format, args.n)
         if args.n is not None and raw.size != args.n:
             raise ValueError(f"raw file holds {raw.size} bits, expected {args.n}")

@@ -16,6 +16,7 @@ import numpy as np
 
 from .acquisition import EpsilonBudget, certify
 from .detector import expected_counts
+from .qubit import _check_fraction
 
 MU_BOX = (1e-4, 5.0)
 Q_BOX = (1e-4, 0.4999)
@@ -43,8 +44,7 @@ def rate_surface(
     `certify` refuses (a non-finite or nonpositive n_pulses, an unknown
     policy) raises ValueError rather than scoring the grid.
     """
-    if not 0.0 <= p_mix <= 1.0:
-        raise ValueError(f"p_mix must lie in [0, 1]: {p_mix!r}")
+    _check_fraction(p_mix, "p_mix")
     mus = np.asarray(mus, dtype=float)
     qs = np.asarray(qs, dtype=float)
     if mus.size == 0 or qs.size == 0:

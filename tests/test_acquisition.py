@@ -557,7 +557,9 @@ class TestCountsFormat:
             "X,900,50,50\nY,1,1,0\n",  # missing Z
             "X,900,50\nY,1,1,0\nZ,2,2,1\n",  # short line
             "X,900,50,50\nX,1,1,0\nZ,2,2,1\n",  # duplicate
+            "X,900,50,50\nY,1,1,0\nx,1,1,0\nZ,2,2,1\n",  # duplicate, every basis present
             "W,900,50,50\nY,1,1,0\nZ,2,2,1\n",  # unknown basis
+            "X,900,50,50\nY,1,1,0\nZ,2,2,1\nW,1,1,1\n",  # unknown basis, every basis present
             "X,abc,50,50\nY,1,1,0\nZ,2,2,1\n",  # non-numeric
             "X,-1,50,50\nY,1,1,0\nZ,2,2,1\n",  # negative
         ],

@@ -132,6 +132,15 @@ def run(capsys, argv):
     return rc, captured.out, captured.err
 
 
+def inline_argv(tmp_path, route, document):
+    """rate with the JSON counts document passed by --counts-inline or as a --config file's counts key."""
+    if route == "inline":
+        return ["rate", "--counts-inline", document, "--N", "12000"]
+    config = tmp_path / "run.json"
+    config.write_text('{"counts": %s}' % document)
+    return ["rate", "--config", str(config), "--N", "12000"]
+
+
 def parse_doc(out: str) -> dict:
     doc = {}
     for line in out.splitlines():
@@ -385,20 +394,43 @@ class TestRate:
         assert exit_info.value.code == 0
         assert capsys.readouterr().out.startswith("usage: siqrng rate")
 
-    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "-50"])
+    @pytest.mark.parametrize(
+        "entry, problem",
+        [
+            *((entry, "must be finite and nonnegative") for entry in ("NaN", "Infinity", "-Infinity", "-50")),
+            *((entry, "is not a number") for entry in ("true", '"900"', "null", "[50]")),
+        ],
+        ids=["NaN", "Infinity", "-Infinity", "-50", "true", '"900"', "null", "[50]"],
+    )
     @pytest.mark.parametrize("route", ["inline", "config"])
-    def test_bad_inline_counts_fail_while_reading(self, capsys, tmp_path, entry, route):
-        # NaN used to reach the worst-case stage as the interval [nan, nan]
+    def test_bad_inline_counts_fail_while_reading(self, capsys, tmp_path, entry, problem, route):
+        # each entry is read as its JSON text in a counts file: NaN used to reach the worst-case
+        # stage as the interval [nan, nan], and true and "900" used to certify as 1 and 900
         document = '{"X":[900,50,%s],"Y":[450,450,100],"Z":[4500,4500,1000]}' % entry
-        if route == "inline":
-            argv = ["rate", "--counts-inline", document, "--N", "12000"]
+        rc, out, err = run(capsys, inline_argv(tmp_path, route, document))
+        assert rc == 2 and out == ""
+        assert err == f"error[reading counts]: basis X: count {entry!r} {problem}\n"
+
+    @pytest.mark.parametrize(
+        "bases, line, key, message",
+        [
+            (["X", "Y", "Z", "W"], "line 4", "basis W", "unknown basis 'W'"),
+            (["x", "X", "Y", "Z"], "line 2", "basis X", "duplicate basis 'X'"),
+        ],
+        ids=["unknown", "repeated"],
+    )
+    @pytest.mark.parametrize("route", ["inline", "config", "file"])
+    def test_basis_keys_are_checked_as_in_a_file(self, capsys, tmp_path, bases, line, key, message, route):
+        # an unknown key and the second of x and X used to be dropped silently
+        if route == "file":
+            counts = tmp_path / "counts.txt"
+            counts.write_text("".join(f"{basis},900,50,50\n" for basis in bases))
+            argv, where = ["rate", "--counts", str(counts), "--N", "12000"], line
         else:
-            config = tmp_path / "run.json"
-            config.write_text('{"counts": %s}' % document)
-            argv = ["rate", "--config", str(config), "--N", "12000"]
+            argv, where = inline_argv(tmp_path, route, json.dumps({basis: [900, 50, 50] for basis in bases})), key
         rc, out, err = run(capsys, argv)
         assert rc == 2 and out == ""
-        assert err.startswith("error[reading counts]: basis X: nd must be finite and nonnegative")
+        assert err == f"error[reading counts]: {where}: {message}\n"
 
     @pytest.mark.parametrize(
         "document",

@@ -206,7 +206,7 @@ class TestOptimize:
             rate_surface(n_pulses, 0.0, np.array([1.4]), np.array([0.01]), BUDGET)
         with pytest.raises(ValueError, match=message):
             optimize(n_pulses, 0.0, BUDGET)
-        with pytest.raises(ValueError, match="^p_mix must lie in"):  # checked before certify sees n_pulses
+        with pytest.raises(ValueError, match="^p_mix outside"):  # checked before certify sees n_pulses
             rate_surface(n_pulses, 2.0, np.array([1.4]), np.array([0.01]), BUDGET)
 
     def test_trace_is_replayable(self):

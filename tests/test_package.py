@@ -1,3 +1,5 @@
+import json
+import runpy
 import subprocess
 import sys
 import textwrap
@@ -16,6 +18,12 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from siqrng import *", namespace)
     assert set(siqrng.__all__) <= namespace.keys()
+
+
+def test_every_mutant_original_occurs_once():
+    # a refactor that moves a guarded line would otherwise surface only in the slow scripts/mutate.py run
+    mutate = runpy.run_path(str(REPO / "scripts" / "mutate.py"))
+    assert mutate["stale_entries"](REPO, json.loads(mutate["TABLE"].read_text())) == []
 
 
 def test_falsified_property_fails_one_test_not_the_run(tmp_path):
