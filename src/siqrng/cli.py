@@ -153,45 +153,53 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.round(np.arange(start, stop + step / 2.0, step), 12)
 
 
-def _counts_from_inline(text: str) -> ClickRecord:
-    """Counts from a JSON object of [n0, n1, nd] triples, each entry read as its JSON text in a counts file would be."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("inline counts must be a JSON object")
+def _counts_from_inline(data: dict) -> ClickRecord:
+    """Counts from a --config object of [n0, n1, nd] triples; each entry is read as its JSON text in a counts file."""
     for key, triple in data.items():
         if not isinstance(triple, list) or len(triple) != 3:
             raise ValueError(f"inline counts need a [n0, n1, nd] triple for basis {key}")
     return _read_count_rows((f"basis {key}", key, [json.dumps(v) for v in triple]) for key, triple in data.items())
 
 
-def _expand_config_args(argv: list[str]) -> list[str]:
-    """Fold a --config JSON document into equivalent flags (explicit flags win)."""
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict, refusing a repeated key, of which json.loads would keep the last."""
+    data: dict = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"repeated key {key!r}")
+        data[key] = value
+    return data
+
+
+def _expand_config_args(argv: list[str]) -> tuple[list[str], dict]:
+    """Flags for a --config JSON document, and rate's counts object as a namespace default; explicit flags win."""
     if "--config" not in argv:
-        return argv
+        return argv, {}
     pos = argv.index("--config")
     if pos + 1 >= len(argv):
         raise CliError("config", "--config needs a file argument")
     path = argv[pos + 1]
     rest = argv[:pos] + argv[pos + 2 :]
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-    except (OSError, ValueError) as e:  # ValueError covers malformed JSON and bytes that are not UTF-8
+        data = json.loads(Path(path).read_text(encoding="utf-8-sig"), object_pairs_hook=_unique_keys)
+    except (OSError, ValueError) as e:  # ValueError covers malformed JSON, repeated keys and bytes that are not UTF-8
         raise CliError("config", f"cannot read {path}: {e}") from e
     if not isinstance(data, dict):
         raise CliError("config", "document must be a JSON object")
+    defaults = {"counts": data.pop("counts")} if isinstance(data.get("counts"), dict) else {}
+    if defaults and rest[:1] != ["rate"]:
+        raise CliError("arguments", "only rate reads a counts object")
     expanded: list[str] = []
-    for key in sorted(data):
-        value = data[key]
+    for key, value in sorted(data.items()):
         flag = "--" + key.replace("_", "-")
-        if key == "counts":
-            expanded += ["--counts-inline", json.dumps(value)]
-        elif isinstance(value, bool):
-            if value:
-                expanded.append(flag)
-        else:
+        if not isinstance(value, (bool, int, float, str)):
+            raise CliError("config", f"{key} must be a number, a string or a boolean")
+        elif value is True:
+            expanded.append(flag)
+        elif value is not False:
             expanded += [flag, str(value)]
     # insert before explicit flags so the command line overrides the document
-    return rest[:1] + expanded + rest[1:]
+    return rest[:1] + expanded + rest[1:], defaults
 
 
 def _add_epsilon_args(parser) -> None:
@@ -208,7 +216,9 @@ def _add_source_args(parser) -> None:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Reports a bad command line as one staged error instead of a usage block and exit."""
+    """Matches a flag by its full name only, and reports a bad command line as one staged error, not a usage exit."""
+
+    __init__ = functools.partialmethod(argparse.ArgumentParser.__init__, allow_abbrev=False)
 
     def error(self, message: str):
         raise CliError("arguments", message)
@@ -224,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rate = sub.add_parser("rate", help="certified net randomness for one run")
     p_rate.add_argument("--counts", help="counts file: one 'basis,n0,n1,nd' line per basis")
-    p_rate.add_argument("--counts-inline", help=argparse.SUPPRESS)
     p_rate.add_argument("--simulate", action="store_true", help="use the detector model instead of a file")
     p_rate.add_argument("--mc", action="store_true", help="Monte Carlo sampling instead of expected counts")
     p_rate.add_argument("--seed", type=int, default=0)
@@ -283,18 +292,19 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def cmd_rate(args) -> _Result:
+    counts = args.counts not in (None, "")  # a file path or a --config counts object; "" names no file
     with _stage("configuration"):
         budget = _budget_from_args(args)
-        if not (args.counts or args.counts_inline or args.simulate):
+        if not (counts or args.simulate):
             raise ValueError("one of --counts or --simulate is required")
-    if args.counts or args.counts_inline:
+        if counts and (args.simulate or args.mc):
+            raise ValueError("a counts file or object excludes --simulate and --mc")
+    if counts:
         with _stage("reading counts"):
-            if args.counts:
-                record = read_counts(args.counts)
-                source = args.counts
+            if isinstance(args.counts, dict):
+                record, source = _counts_from_inline(args.counts), "<inline>"
             else:
-                record = _counts_from_inline(args.counts_inline)
-                source = "<inline>"
+                record, source = read_counts(args.counts), args.counts
         n_pulses = args.N if args.N is not None else record.x.n + record.y.n + record.z.n
         echo: list[tuple[str, object]] = [("config.counts", source), ("config.N", n_pulses)]
     else:
@@ -500,11 +510,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _expand_config_args(argv)
+        argv, defaults = _expand_config_args(argv)
         parser = _shared_parser()
         if argv and argv[0] in _COMMANDS:  # the top-level parser would hand the rest to this subparser
             sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-            args = sub.choices[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+            args = sub.choices[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0], **defaults))
         else:
             args = parser.parse_args(argv)  # prints help or raises error[arguments]
         report, save = _COMMANDS[args.command](args)

@@ -28,6 +28,7 @@ from conftest import QubitTomogram, coherence_rel_entropy, reference_csv_text, r
 COUNTS_TEXT = "X,900,50,50\nY,450,450,100\nZ,4500,4500,1000\n"
 REPO = Path(__file__).resolve().parents[1]
 SMALL_GRID = ["--mu-grid", "0.5:1.5:0.25", "--q-grid", "0.01:0.05:0.02"]
+INLINE_COUNTS = {"X": [900, 50, 50], "Y": [450, 450, 100], "Z": [4500, 4500, 1000]}
 
 # X and Y relabeled, Z straddling 1/2 with doubles to assign
 GOLDEN_COUNTS = "X,50000,900000,50000\nY,100000,800000,100000\nZ,4000000,4600000,1400000\n"
@@ -132,13 +133,17 @@ def run(capsys, argv):
     return rc, captured.out, captured.err
 
 
-def inline_argv(tmp_path, route, document):
-    """rate with the JSON counts document passed by --counts-inline or as a --config file's counts key."""
-    if route == "inline":
-        return ["rate", "--counts-inline", document, "--N", "12000"]
+def inline_argv(tmp_path, route, document, flags=(("N", 12000),)):
+    """rate with the JSON counts document as a --config file's counts key.
+
+    Route "config" gives the other flags on the command line; route "inline" writes them into the document too.
+    """
     config = tmp_path / "run.json"
+    if route == "inline":
+        config.write_text("{%s}" % ", ".join([f'"counts": {document}', *(f'"{k}": {json.dumps(v)}' for k, v in flags)]))
+        return ["rate", "--config", str(config)]
     config.write_text('{"counts": %s}' % document)
-    return ["rate", "--config", str(config), "--N", "12000"]
+    return ["rate", "--config", str(config), *(text for k, v in flags for text in (f"--{k}", str(v)))]
 
 
 def parse_doc(out: str) -> dict:
@@ -311,13 +316,7 @@ class TestRate:
         document = '{"X":[1e9,9e8,1000],"Y":[9.5e8,9.5e8,1000],"Z":[1.9e9,1.8e9,5000]}'
         counts = tmp_path / "counts.txt"
         counts.write_text("X,1000000000,900000000,1000\nY,950000000,950000000,1000\nZ,1900000000,1800000000,5000\n")
-        if route == "inline":
-            argv = ["rate", "--counts-inline", document]
-        else:
-            config = tmp_path / "run.json"
-            config.write_text('{"counts": %s}' % document)
-            argv = ["rate", "--config", str(config)]
-        rc, out, err = run(capsys, argv)
+        rc, out, err = run(capsys, inline_argv(tmp_path, route, document, [("policy", "discard")]))
         assert (rc, err) == (0, "")
         rc, file_out, _ = run(capsys, ["rate", "--counts", str(counts)])
         assert rc == 0
@@ -433,20 +432,111 @@ class TestRate:
         assert err == f"error[reading counts]: {where}: {message}\n"
 
     @pytest.mark.parametrize(
-        "document",
+        "document, stage",
         [
-            "[900, 50, 50]",
-            '{"X": 5, "Y": [450, 450, 100], "Z": [4500, 4500, 1000]}',
-            '{"X": [900, 50, [50]], "Y": [450, 450, 100], "Z": [4500, 4500, 1000]}',
-            '{"X": [900, 50, 1%s], "Y": [450, 450, 100], "Z": [4500, 4500, 1000]}' % ("0" * 400),
+            ("[900, 50, 50]", "config"),  # a list is no flag value; only an object is read as inline counts
+            ('{"X": 5, "Y": [450, 450, 100], "Z": [4500, 4500, 1000]}', "reading counts"),
+            ('{"X": [900, 50, [50]], "Y": [450, 450, 100], "Z": [4500, 4500, 1000]}', "reading counts"),
+            ('{"X": [900, 50, 1%s], "Y": [450, 450, 100], "Z": [4500, 4500, 1000]}' % ("0" * 400), "reading counts"),
         ],
         ids=["not-an-object", "not-a-triple", "not-a-number", "beyond-float"],
     )
-    def test_malformed_inline_counts_fail_while_reading(self, capsys, document):
+    def test_malformed_inline_counts_fail_while_reading(self, capsys, tmp_path, document, stage):
         # each of these used to escape main as an uncaught TypeError, AttributeError or OverflowError
-        rc, out, err = run(capsys, ["rate", "--counts-inline", document, "--N", "12000"])
+        rc, out, err = run(capsys, inline_argv(tmp_path, "config", document))
         assert rc == 2 and out == ""
-        assert err.startswith("error[reading counts]")
+        assert err.startswith(f"error[{stage}]: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate", "--counts", "F", "--N", "12000", "--simulate", "--mc", "--q", "0.05", "--mu0", "1"],
+            ["rate", "--counts", "F", "--N", "12000", "--simulate", "--q", "0.05", "--mu0", "1"],
+            ["rate", "--counts", "F", "--N", "12000", "--mc", "--seed", "3"],
+            ["rate", "--config", "INLINE", "--simulate", "--q", "0.05", "--mu0", "1"],
+            ["rate", "--config", "INLINE", "--mc"],
+        ],
+        ids=["counts-simulate-mc", "counts-simulate", "counts-mc", "inline-simulate", "inline-mc"],
+    )
+    def test_one_source_per_run(self, capsys, counts_file, tmp_path, argv):
+        # with --simulate the counts used to be certified and the model ignored; --mc alone was ignored
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"counts": INLINE_COUNTS, "N": 12000}))
+        argv = [{"F": str(counts_file), "INLINE": str(config)}.get(arg, arg) for arg in argv]
+        assert run(capsys, argv) == (2, "", "error[configuration]: a counts file or object excludes --simulate and --mc\n")
+
+    def test_mc_without_a_source_asks_for_one(self, capsys):
+        expected = (2, "", "error[configuration]: one of --counts or --simulate is required\n")
+        assert run(capsys, ["rate", "--mc", "--seed", "3", "--N", "1e6"]) == expected
+
+
+class TestConfig:
+    """A --config document is read strictly: each key once, each value of its flag's JSON type."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        def write(text: str) -> str:
+            path = tmp_path / "run.json"
+            path.write_text(text)
+            return str(path)
+
+        return write
+
+    def test_counts_string_is_a_file_path(self, capsys, config, counts_file):
+        # the string used to be read as an inline document and refused as not a JSON object
+        argv = ["rate", "--config", config(json.dumps({"counts": str(counts_file), "N": 12000}))]
+        expected = run(capsys, ["rate", "--counts", str(counts_file), "--N", "12000"])
+        assert expected[0] == 0 and run(capsys, argv) == expected
+
+    @pytest.mark.parametrize("counts", [INLINE_COUNTS, {"X": [1, 1, 1]}, "no-such-file"], ids=["object", "bad-object", "path"])
+    def test_counts_flag_beats_the_document(self, capsys, config, counts_file, counts):
+        argv = ["rate", "--counts", str(counts_file), "--N", "12000"]
+        expected = run(capsys, argv)
+        path = config(json.dumps({"counts": counts, "policy": "discard"}))
+        assert expected[0] == 0
+        assert run(capsys, ["rate", "--config", path, *argv[1:]]) == expected
+        assert run(capsys, ["--config", path, *argv]) == expected
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"N": 12000, "N": 99999999, "counts": {"X": [900,50,50], "Y": [450,450,100], "Z": [4500,4500,1000]}}', "N"),
+            ('{"counts": {"X": [900,50,50], "Y": [450,450,100], "X": [40,900,60], "Z": [4500,4500,1000]}, "N": 12000}', "X"),
+            ('{"N": 12000, "counts": {"X": [900,50,50], "Y": [450,450,100], "Z": [4500,4500,1000]}, "N": 12000}', "N"),
+        ],
+        ids=["top-level", "nested", "same-value"],
+    )
+    def test_repeated_key_is_refused(self, capsys, config, text, key):
+        # json.loads keeps the last of two equal keys: these used to certify 99999999 pulses and the second X
+        path = config(text)
+        assert run(capsys, ["rate", "--config", path]) == (2, "", f"error[config]: cannot read {path}: repeated key {key!r}\n")
+
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (["optimize", "--N", "1e8", *SMALL_GRID], "trace_out", None),
+            (["rate", "--simulate", "--N", "1e6", "--q", "0.05", "--mu0", "1"], "out", None),
+            (["rate", "--simulate", "--N", "1e6", "--mu0", "1"], "q", [0.05]),
+            (["rate", "--simulate", "--N", "1e6", "--q", "0.05"], "mu0", {"value": 1}),
+            (["rate", "--N", "12000"], "counts", None),
+            (["rate", "--N", "12000"], "counts", [INLINE_COUNTS["X"]]),
+        ],
+        ids=["optimize-null-trace-out", "rate-null-out", "list", "object", "null-counts", "list-counts"],
+    )
+    def test_null_list_and_object_values_are_refused(self, capsys, monkeypatch, tmp_path, config, argv, key, value):
+        # str(None) used to turn a null --out or --trace-out into a file named None
+        monkeypatch.chdir(tmp_path)
+        path = config(json.dumps({key: value}))
+        expected = f"error[config]: {key} must be a number, a string or a boolean\n"
+        assert run(capsys, [argv[0], "--config", path, *argv[1:]]) == (2, "", expected)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+    @pytest.mark.parametrize("command", ["optimize", "simulate", "compare", "extract"])
+    def test_counts_object_is_read_by_rate_only(self, capsys, config, command):
+        path = config(json.dumps({"counts": INLINE_COUNTS}))
+        expected = (2, "", "error[arguments]: only rate reads a counts object\n")
+        assert run(capsys, [command, "--config", path]) == expected
+        assert run(capsys, ["--config", path, command]) == expected
 
 
 NON_FINITE = st.sampled_from(["nan", "inf", "-inf"])
@@ -515,7 +605,9 @@ def test_bad_counts_never_certify(entries, route, data):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         if route == "inline":
-            source = ["--counts-inline", json.dumps(dict(zip("XYZ", counts)))]
+            config = Path(tmp) / "run.json"
+            config.write_text(json.dumps({"counts": dict(zip("XYZ", counts))}))
+            source = ["--config", str(config)]
         else:
             path = Path(tmp) / "counts.txt"
             path.write_text("".join(f"{b},{n0!r},{n1!r},{nd!r}\n" for b, (n0, n1, nd) in zip("XYZ", counts)))
@@ -561,6 +653,27 @@ class TestParser:
         for command in ("rate", "optimize"):
             policy = next(a for a in sub.choices[command]._actions if a.dest == "policy")
             assert tuple(policy.choices) == POLICIES
+
+    @pytest.mark.parametrize(
+        "argv, unrecognized",
+        [
+            (["rate", "--simulate", "--N", "1e6", "--q", "0.05", "--mu", "1.0", "--eta", "0.5"], "--mu 1.0"),
+            (["rate", "--config", "MU"], "--mu 0.7"),
+            (["rate", "--counts", "F", "--pol", "assign"], "--pol assign"),
+            (["rate", "--he"], "--he"),
+            (["simulate", "--N", "1e6", "--q", "0.05", "--mu", "1"], "--mu 1"),
+            (["optimize", "--N", "1e8", "--refine", "1"], "--refine 1"),
+            (["compare", "--st", "0.5"], "--st 0.5"),
+            (["extract", "--input", "RAW", "--seed-file", "SEED", "--m", "1", "--form", "ascii"], "--form ascii"),
+        ],
+        ids=["rate-mu", "config-mu", "rate-pol", "rate-he", "simulate-mu", "optimize-refine", "compare-st", "extract-form"],
+    )
+    def test_flags_match_by_full_name_only(self, capsys, stage_files, tmp_path, argv, unrecognized):
+        # a prefix used to select the one flag it begins: --mu set mu0, the source intensity, not the detected mu
+        config = tmp_path / "mu.json"
+        config.write_text(json.dumps({"simulate": True, "N": 1e6, "q": 0.05, "eta": 0.5, "mu": 0.7}))
+        argv = [{**stage_files, "MU": str(config)}.get(arg, arg) for arg in argv]
+        assert run(capsys, argv) == (2, "", f"error[arguments]: unrecognized arguments: {unrecognized}\n")
 
     def test_built_on_first_use_not_at_import(self):
         src = str(Path(siqrng.__file__).parents[1])
