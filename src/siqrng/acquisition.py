@@ -34,6 +34,8 @@ from .qubit import PHYSICALITY_TOL, _MATH_OPS, _NUMPY_OPS, _bloch_radius, _coher
 
 POLICIES = ("discard", "assign")
 
+DEFAULT_EPSILON = 1e-10  # each failure probability of an EpsilonBudget unless set
+
 MIN_ENTROPY_COEFF = 4.0 * math.log2(2.0 + math.sqrt(2.0))
 MIN_ENTROPY_COEFF_2DP = 7.09
 
@@ -104,7 +106,7 @@ class EpsilonBudget:
         total_epsilon(self)
 
     @classmethod
-    def uniform(cls, value: float = 1e-10) -> "EpsilonBudget":
+    def uniform(cls, value: float = DEFAULT_EPSILON) -> "EpsilonBudget":
         return cls(value, value, value, value, value)
 
 

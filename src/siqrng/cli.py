@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .acquisition import (
+    DEFAULT_EPSILON,
     MIN_ENTROPY_COEFF,
     MIN_ENTROPY_COEFF_2DP,
     POLICIES,
@@ -46,7 +47,8 @@ from .acquisition import (
     write_counts,
 )
 from .detector import ClickStats, ExperimentConfig, analytic_click_stats, mc_sample
-from .extractor import ToeplitzSpec, format_bit_string, output_length, read_bits, toeplitz_extract, write_bits
+from .extractor import BIT_FORMATS, ToeplitzSpec, format_bit_string, output_length, read_bits
+from .extractor import toeplitz_extract, write_bits
 from .optimizer import DEFAULT_MU_GRID, DEFAULT_Q_GRID, optimize
 from .qubit import _NUMPY_OPS, NonphysicalStateError, _bloch_radius, _coherence, binary_entropy_arr
 
@@ -67,10 +69,8 @@ _CERT_FIELDS = (
 # default grids' size: one rate surface then holds at most 1e6 cells.
 MAX_GRID_POINTS = 1000
 
-# Cap for optimize --refine-levels.  Each level shrinks the refined steps
-# tenfold, so past about 20 levels every admissible grid's step is below
-# float spacing and a level only re-scores the incumbent.
-MAX_REFINE_LEVELS = 30
+# The flag kind each --config JSON scalar fills: a switch, a numeric flag (every typed flag is one), or any other flag.
+_JSON_KINDS = {bool: "a boolean", int: "a number", float: "a number", str: "a string"}
 
 _CSV_CHUNK_ROWS = 4096  # rows per CSV write, at most ~0.35 MB of text
 
@@ -97,14 +97,10 @@ class _stage(contextlib.AbstractContextManager):
 
 
 def _fmt(value) -> str:
-    if type(value) is float:  # the commonest case, by identity
+    if isinstance(value, float):  # the commonest case; a bool is an int, not a float
         return f"{value:.9g}"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.9g}"
     return str(value)
 
 
@@ -189,22 +185,25 @@ def _expand_config_args(argv: list[str]) -> tuple[list[str], dict]:
     defaults = {"counts": data.pop("counts")} if isinstance(data.get("counts"), dict) else {}
     if defaults and rest[:1] != ["rate"]:
         raise CliError("arguments", "only rate reads a counts object")
+    options = _command_parser(rest[0] if rest else "")._option_string_actions
     expanded: list[str] = []
     for key, value in sorted(data.items()):
         flag = "--" + key.replace("_", "-")
-        if not isinstance(value, (bool, int, float, str)):
-            raise CliError("config", f"{key} must be a number, a string or a boolean")
-        elif value is True:
+        action = options.get(flag)  # None: an unknown key, which argparse names
+        kind = "a boolean" if action and action.nargs == 0 else "a number" if action and action.type else "a string"
+        if action and _JSON_KINDS.get(type(value)) != kind:
+            raise CliError("config", f"{key} must be {kind}")
+        if value is True:
             expanded.append(flag)
         elif value is not False:
-            expanded += [flag, str(value)]
+            expanded.append(f"{flag}={value}")  # one token, so a value that begins with '-' is not read as a flag
     # insert before explicit flags so the command line overrides the document
     return rest[:1] + expanded + rest[1:], defaults
 
 
 def _add_epsilon_args(parser) -> None:
     for f in dataclasses.fields(EpsilonBudget):
-        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=float, default=1e-10)
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=float, default=DEFAULT_EPSILON)
 
 
 def _add_source_args(parser) -> None:
@@ -266,11 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext = sub.add_parser("extract", help="Toeplitz-hash a raw bit file")
     p_ext.add_argument("--input", required=True, help="raw bits")
     p_ext.add_argument("--seed-file", required=True, help="n + m - 1 seed bits")
-    p_ext.add_argument("--format", choices=("ascii", "packed"), default="ascii")
+    p_ext.add_argument("--format", choices=BIT_FORMATS, default="ascii")
     p_ext.add_argument("--n", type=int, help="raw bit count (required for packed input)")
     p_ext.add_argument("--m", type=int, help="output bit count")
     p_ext.add_argument("--net-bits", type=float, help="certified bits; used with --eps2 when --m is absent")
-    p_ext.add_argument("--eps2", type=float, default=1e-10)
+    p_ext.add_argument("--eps2", type=float, default=DEFAULT_EPSILON)
     p_ext.add_argument("--out", help="output bits destination; omitted = ASCII to stdout")
 
     return parser
@@ -289,6 +288,12 @@ def _shared_parser() -> argparse.ArgumentParser:
     `set_defaults` or custom actions that a parse could change.
     """
     return build_parser()
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The shared tree's subparser of command name, or the tree itself when name is no command."""
+    tree = _shared_parser()
+    return next(a for a in tree._actions if isinstance(a, argparse._SubParsersAction)).choices.get(name, tree)
 
 
 def cmd_rate(args) -> _Result:
@@ -339,10 +344,8 @@ def cmd_rate(args) -> _Result:
             (f"theta.{name}", basis.theta),
             (f"adjusted.{name}", basis.adjusted),
         ]
-    if args.policy == "assign":
-        doc.append(("assignment_prob", cert.assignment_prob))
-    else:
-        doc.append(("surviving_raw_bits", cert.surviving_raw_bits))
+    paid = "surviving_raw_bits" if cert.assignment_prob is None else "assignment_prob"  # the one the policy filled
+    doc.append((paid, getattr(cert, paid)))
     doc += [(key, getattr(cert, key)) for key in _CERT_FIELDS]
     doc += [
         ("total_epsilon", total_epsilon(budget)),
@@ -433,8 +436,6 @@ def cmd_optimize(args) -> _Result:
         budget = _budget_from_args(args)
         if not 0.0 < args.eta <= 1.0:
             raise ValueError(f"eta must lie in (0, 1]: {args.eta!r}")
-        if args.refine_levels > MAX_REFINE_LEVELS:
-            raise ValueError(f"refine levels {args.refine_levels} exceed the cap of {MAX_REFINE_LEVELS}")
         mu_grid = _parse_grid(args.mu_grid) if args.mu_grid else DEFAULT_MU_GRID
         q_grid = _parse_grid(args.q_grid) if args.q_grid else DEFAULT_Q_GRID
     with _stage("optimization"):
@@ -484,10 +485,8 @@ def cmd_extract(args) -> _Result:
         raw = read_bits(args.input, args.format, args.n)
         if args.n is not None and raw.size != args.n:
             raise ValueError(f"raw file holds {raw.size} bits, expected {args.n}")
-        if m == 0:
-            seed = np.zeros(0, dtype=np.uint8)  # an empty hash uses no seed bits
-        else:
-            seed = read_bits(args.seed_file, args.format, raw.size + m - 1)
+        # an empty hash uses no seed bits
+        seed = read_bits(args.seed_file, args.format, raw.size + m - 1) if m else np.zeros(0, dtype=np.uint8)
     with _stage("extraction"):
         spec = ToeplitzSpec(input_length=raw.size, output_length=m, seed=seed)
         result = toeplitz_extract(raw, spec)
@@ -511,12 +510,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv, defaults = _expand_config_args(argv)
-        parser = _shared_parser()
-        if argv and argv[0] in _COMMANDS:  # the top-level parser would hand the rest to this subparser
-            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-            args = sub.choices[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0], **defaults))
-        else:
+        parser = _command_parser(argv[0] if argv else "")
+        if parser is _shared_parser():
             args = parser.parse_args(argv)  # prints help or raises error[arguments]
+        else:  # the top-level parser would hand the rest to this subparser
+            args = parser.parse_args(argv[1:], argparse.Namespace(command=argv[0], **defaults))
         report, save = _COMMANDS[args.command](args)
         with _stage("writing output"):
             if save is not None:

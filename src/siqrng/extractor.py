@@ -75,11 +75,7 @@ class ToeplitzSpec:
 def toeplitz_matrix(spec: ToeplitzSpec) -> np.ndarray:
     """The explicit m x n hash matrix; row i is seed[i : i + n] reversed."""
     n, m = spec.input_length, spec.output_length
-    if m == 0:
-        return np.zeros((0, n), dtype=np.uint8)
-    rows = np.arange(m)[:, None]
-    cols = np.arange(n)[None, :]
-    return spec.seed[rows - cols + n - 1]
+    return spec.seed[np.subtract.outer(np.arange(m), np.arange(n)) + n - 1]
 
 
 def _fft_length(target: int) -> int:
@@ -201,6 +197,7 @@ def toeplitz_extract(raw_bits, spec: ToeplitzSpec) -> np.ndarray:
 # final byte is zero-padded, so the bit count must be supplied when reading,
 # and a file of any other length or with a nonzero padding bit is refused.
 # ASCII files hold the characters 0/1 with optional whitespace.
+BIT_FORMATS = ("ascii", "packed")
 
 
 def pack_bits(bits) -> bytes:

@@ -93,11 +93,11 @@ def optimize(
     """Deterministic grid search with nested refinement over (mu, q).
 
     mu is the detected intensity eta * mu0; divide by eta to recover the
-    source setting.  Each refinement level shrinks the step tenfold around
-    the incumbent.  Ties are broken toward smaller mu, then smaller q, so
-    repeated runs return the identical optimum.  When no evaluated cell is
-    positive there is no optimum: the result carries rate 0, mu_opt and
-    q_opt NaN, and the 'no positive rate' status.
+    source setting.  Each level shrinks the step tenfold around the incumbent,
+    up to the fixed point where a level's axes equal the previous level's.
+    Ties go to smaller mu, then smaller q, so repeated runs return the
+    identical optimum.  When no evaluated cell is positive there is no optimum:
+    the result carries rate 0, mu_opt and q_opt NaN, and the 'no positive rate' status.
     """
     if refine_levels < 0:
         raise ValueError(f"refine_levels must be nonnegative: {refine_levels!r}")
@@ -116,8 +116,10 @@ def optimize(
     for level in range(refine_levels + 1):
         if level:
             _, mu_best, q_best = min(candidates)
-            mu_axis = _refine_axis(mu_best, step_mu, MU_BOX)
-            q_axis = _refine_axis(q_best, step_q, Q_BOX)
+            axes = _refine_axis(mu_best, step_mu, MU_BOX), _refine_axis(q_best, step_q, Q_BOX)
+            if all(map(np.array_equal, axes, (mu_axis, q_axis))):
+                break  # the fixed point: this level and every later one would re-score the previous surface
+            mu_axis, q_axis = axes
             step_mu /= 10.0
             step_q /= 10.0
         surface = rate_surface(n_pulses, p_mix, mu_axis, q_axis, budget, policy)

@@ -149,6 +149,12 @@ class TestSquash:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             cert_of(x=(900, 50, value))
 
+    def test_infinite_array_count_is_named_by_the_count_check(self):
+        # the numpy backend's count check must name an infinite count, not leave it to the clicks-vs-pulses check
+        x = (np.array([math.inf]), 50, 50)
+        with pytest.raises(ValueError, match=r"^basis X: counts must be finite and nonnegative$"):
+            certify(x, (450, 450, 100), (4500, 4500, 1000), 1e12, BUDGET)
+
     @given(counts_strategy)
     def test_interval_width_is_double_fraction(self, counts):
         if counts.n == 0:

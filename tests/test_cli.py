@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -17,10 +18,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import siqrng
-from siqrng import cli
-from siqrng.acquisition import POLICIES, EpsilonBudget, parse_counts, read_counts
+from siqrng import cli, optimizer
+from siqrng.acquisition import DEFAULT_EPSILON, POLICIES, EpsilonBudget, parse_counts, read_counts
 from siqrng.cli import _CSV_CHUNK_ROWS, CliError, _emit, _fmt, _parse_grid, _shared_parser, _write_csv, build_parser, main
-from siqrng.extractor import parse_bit_string, read_bits
+from siqrng.extractor import BIT_FORMATS, parse_bit_string, read_bits
 from siqrng.optimizer import optimize
 
 from conftest import QubitTomogram, coherence_rel_entropy, reference_csv_text, reference_emit, witness_coherence_bound
@@ -162,6 +163,14 @@ def counts_file(tmp_path):
 
 
 class TestRate:
+    def test_each_policy_reports_the_field_it_fills(self, capsys, counts_file):
+        # assign prints assignment_prob and discard surviving_raw_bits, in one place of one key list
+        assign = [line.split(":")[0] for line in GOLDEN_REPORT.splitlines()]
+        for policy, paid in (("assign", "assignment_prob"), ("discard", "surviving_raw_bits")):
+            rc, out, _ = run(capsys, ["rate", "--counts", str(counts_file), "--N", "12000", "--policy", policy])
+            keys = [line.split(":")[0] for line in out.splitlines()]
+            assert rc == 0 and keys == [paid if key == "assignment_prob" else key for key in assign]
+
     def test_from_counts_file(self, capsys, counts_file):
         rc, out, err = run(capsys, ["rate", "--counts", str(counts_file), "--N", "12000"])
         assert rc == 0 and err == ""
@@ -512,24 +521,67 @@ class TestConfig:
         assert run(capsys, ["rate", "--config", path]) == (2, "", f"error[config]: cannot read {path}: repeated key {key!r}\n")
 
     @pytest.mark.parametrize(
-        "argv, key, value",
+        "argv, key, value, kind",
         [
-            (["optimize", "--N", "1e8", *SMALL_GRID], "trace_out", None),
-            (["rate", "--simulate", "--N", "1e6", "--q", "0.05", "--mu0", "1"], "out", None),
-            (["rate", "--simulate", "--N", "1e6", "--mu0", "1"], "q", [0.05]),
-            (["rate", "--simulate", "--N", "1e6", "--q", "0.05"], "mu0", {"value": 1}),
-            (["rate", "--N", "12000"], "counts", None),
-            (["rate", "--N", "12000"], "counts", [INLINE_COUNTS["X"]]),
+            (["optimize", "--N", "1e8", *SMALL_GRID], "trace_out", None, "a string"),
+            (["rate", "--simulate", "--N", "1e6", "--q", "0.05", "--mu0", "1"], "out", None, "a string"),
+            (["rate", "--simulate", "--N", "1e6", "--mu0", "1"], "q", [0.05], "a number"),
+            (["rate", "--simulate", "--N", "1e6", "--q", "0.05"], "mu0", {"value": 1}, "a number"),
+            (["rate", "--N", "12000"], "counts", None, "a string"),
+            (["rate", "--N", "12000"], "counts", [INLINE_COUNTS["X"]], "a string"),
         ],
         ids=["optimize-null-trace-out", "rate-null-out", "list", "object", "null-counts", "list-counts"],
     )
-    def test_null_list_and_object_values_are_refused(self, capsys, monkeypatch, tmp_path, config, argv, key, value):
+    def test_null_list_and_object_values_are_refused(self, capsys, monkeypatch, tmp_path, config, argv, key, value, kind):
         # str(None) used to turn a null --out or --trace-out into a file named None
         monkeypatch.chdir(tmp_path)
         path = config(json.dumps({key: value}))
-        expected = f"error[config]: {key} must be a number, a string or a boolean\n"
+        expected = f"error[config]: {key} must be {kind}\n"
         assert run(capsys, [argv[0], "--config", path, *argv[1:]]) == (2, "", expected)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"simulate": True, "N": "1e6", "q": 0.05, "mu0": 1.0}, "N must be a number"),
+            ({"simulate": True, "N": 1e6, "q": 0.05, "mu0": True}, "mu0 must be a number"),
+            ({"simulate": True, "mc": True, "N": 1e6, "q": 0.05, "mu0": 1.0, "seed": "3"}, "seed must be a number"),
+            ({"simulate": 1, "N": 1e6, "q": 0.05, "mu0": 1.0}, "simulate must be a boolean"),
+            ({"simulate": "true", "N": 1e6, "q": 0.05, "mu0": 1.0}, "simulate must be a boolean"),
+            ({"simulate": True, "N": 1e6, "q": 0.05, "mu0": 1.0, "policy": 1}, "policy must be a string"),
+            ({"simulate": True, "N": 1e6, "q": 0.05, "mu0": 1.0, "out": 5}, "out must be a string"),
+            ({"simulate": True, "N": 1e6, "q": 0.05, "mu0": 1.0, "out": False}, "out must be a string"),
+        ],
+        ids=["numeric-string", "numeric-boolean", "int-string", "switch-number", "switch-string",
+             "choice-number", "path-number", "path-boolean"],
+    )  # fmt: skip
+    def test_each_value_has_its_flags_kind(self, capsys, monkeypatch, tmp_path, config, document, message):
+        # the value went through str() to argparse: "1e6" certified 1e6 pulses, and 5 wrote a file named 5
+        monkeypatch.chdir(tmp_path)
+        path = config(json.dumps(document))
+        assert run(capsys, ["rate", "--config", path]) == (2, "", f"error[config]: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+    def test_numbers_of_either_json_kind_fill_numeric_flags(self, capsys, config):
+        # argparse alone converts the value: the int 1000000 and the float 1e6 give one --N
+        expected = run(capsys, ["rate", "--simulate", "--N", "1e6", "--q", "0.05", "--mu0", "1", "--seed", "3"])
+        for n_pulses in (1000000, 1e6):
+            path = config(json.dumps({"simulate": True, "N": n_pulses, "q": 0.05, "mu0": 1, "seed": 3}))
+            assert run(capsys, ["rate", "--config", path]) == expected
+        path = config(json.dumps({"simulate": True, "mc": True, "N": 1e6, "q": 0.05, "mu0": 1, "seed": 3.5}))
+        assert run(capsys, ["rate", "--config", path]) == (
+            2, "", "error[arguments]: argument --seed: invalid int value: '3.5'\n"
+        )
+
+    def test_values_that_begin_with_a_dash_are_values(self, capsys, monkeypatch, tmp_path, config):
+        # each value used to be a token of its own, which argparse read as a flag: expected one argument
+        monkeypatch.chdir(tmp_path)
+        simulated = {"simulate": True, "N": 1e6, "q": 0.05, "mu0": 1.0}
+        rc, out, err = run(capsys, ["rate", "--config", config(json.dumps({**simulated, "out": "-r.csv"}))])
+        assert (rc, err) == (0, "") and (tmp_path / "-r.csv").read_text().startswith("n_z,")
+        expected = run(capsys, ["rate", "--simulate", "--N", "1e6", "--q", "0.05", "--mu0", "1", "--p=-1e-05"])
+        assert expected == (2, "", "error[configuration]: p_mix outside [0, 1]: -1e-05\n")
+        assert run(capsys, ["rate", "--config", config(json.dumps({**simulated, "p": -1e-05}))]) == expected
 
     @pytest.mark.parametrize("command", ["optimize", "simulate", "compare", "extract"])
     def test_counts_object_is_read_by_rate_only(self, capsys, config, command):
@@ -647,6 +699,19 @@ class TestParser:
         with pytest.raises(CliError, match="unrecognized arguments: --extra=1"):
             _shared_parser().parse_args(["--extra=1", "rate", "--simulate"])
 
+    def test_format_choices_are_the_extractors(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        fmt = next(a for a in sub.choices["extract"]._actions if a.dest == "format")
+        assert fmt.choices is BIT_FORMATS
+
+    def test_epsilon_defaults_are_the_librarys(self):
+        # rate's and optimize's five budget flags and extract's --eps2
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        names = {f.name for f in dataclasses.fields(EpsilonBudget)}
+        defaults = [a.default for p in sub.choices.values() for a in p._actions if a.dest in names]
+        assert len(defaults) == 11 and set(defaults) == {DEFAULT_EPSILON}
+        assert set(dataclasses.astuple(EpsilonBudget.uniform())) == {DEFAULT_EPSILON}
+
     def test_policy_choices_are_certifys(self):
         # a policy that certify accepts is reachable from both subcommands
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -658,7 +723,7 @@ class TestParser:
         "argv, unrecognized",
         [
             (["rate", "--simulate", "--N", "1e6", "--q", "0.05", "--mu", "1.0", "--eta", "0.5"], "--mu 1.0"),
-            (["rate", "--config", "MU"], "--mu 0.7"),
+            (["rate", "--config", "MU"], "--mu=0.7"),
             (["rate", "--counts", "F", "--pol", "assign"], "--pol assign"),
             (["rate", "--he"], "--he"),
             (["simulate", "--N", "1e6", "--q", "0.05", "--mu", "1"], "--mu 1"),
@@ -1009,16 +1074,22 @@ class TestOptimize:
         assert err.startswith("error[configuration]") and "more than 1000" in err
 
     @pytest.mark.parametrize("levels", ["31", "2000", "100000000"])
-    def test_oversized_refine_levels_refused(self, capsys, monkeypatch, levels):
-        def no_search(*args, **kwargs):
-            raise AssertionError("optimize ran before the refine levels were checked")
+    def test_refine_levels_past_the_fixed_point_run(self, capsys, monkeypatch, levels):
+        # these were refused at a cap of 30 levels; the search now stops at its own fixed point
+        expected = run(capsys, ["optimize", "--N", "1e8", "--p", "0.1", "--refine-levels", "30"])
+        real, calls = optimizer.rate_surface, []
 
-        monkeypatch.setattr("siqrng.cli.optimize", no_search)
+        def counted(*args):
+            calls.append(None)
+            assert len(calls) <= 31, "refinement ran past its fixed point"
+            return real(*args)
+
+        monkeypatch.setattr(optimizer, "rate_surface", counted)
         start = time.perf_counter()
         rc, out, err = run(capsys, ["optimize", "--N", "1e8", "--p", "0.1", "--refine-levels", levels])
         assert time.perf_counter() - start < 1.0
-        assert rc == 2 and out == ""
-        assert err == f"error[configuration]: refine levels {levels} exceed the cap of 30\n"
+        assert (rc, err) == (0, "")
+        assert out == expected[1].replace("config.refine_levels: 30\n", f"config.refine_levels: {levels}\n")
 
     @pytest.mark.parametrize("levels", [0, 1, 3, 30])
     def test_refine_levels_up_to_the_cap_run(self, capsys, levels):

@@ -1,10 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from siqrng import optimizer
-from siqrng.acquisition import EpsilonBudget, certify
+from siqrng.acquisition import POLICIES, EpsilonBudget, certify
 from siqrng.detector import ExperimentConfig, analytic_click_stats, expected_counts
 from siqrng.optimizer import (
     DEFAULT_MU_GRID,
@@ -23,6 +24,24 @@ def config_rate(config: ExperimentConfig, policy: str = "discard") -> float:
     """Rate of one configuration: its expected counts certified as plain numbers (math backend)."""
     stats = analytic_click_stats(config)
     return certify(stats.x, stats.y, stats.z, config.n_pulses, BUDGET, policy).rate_per_pulse
+
+
+def search_without_stop(n_pulses: float, p_mix: float, policy: str, levels: int):
+    """Trace and best (-rate, mu, q) of optimize's refinement on the default grids, run through every level."""
+    mu_axis, q_axis = DEFAULT_MU_GRID, DEFAULT_Q_GRID
+    step_mu, step_q = float(np.min(np.diff(mu_axis))), float(np.min(np.diff(q_axis)))
+    rows, best = [], []
+    for level in range(levels + 1):
+        if level:
+            _, mu, q = min(best)
+            mu_axis = optimizer._refine_axis(mu, step_mu, optimizer.MU_BOX)
+            q_axis = optimizer._refine_axis(q, step_q, optimizer.Q_BOX)
+            step_mu, step_q = step_mu / 10.0, step_q / 10.0
+        surface = rate_surface(n_pulses, p_mix, mu_axis, q_axis, BUDGET, policy)
+        rows += [(mu, q, rate) for mu, row in zip(mu_axis, surface) for q, rate in zip(q_axis, row)]
+        i, j = divmod(int(np.argmax(surface)), q_axis.size)
+        best.append((-float(surface[i, j]), float(mu_axis[i]), float(q_axis[j])))
+    return np.array(rows), min(best)
 
 
 class TestRateSurface:
@@ -147,6 +166,36 @@ class TestOptimize:
         result = optimize(1e8, 0.1, BUDGET, refine_levels=1, **grids)
         assert len(calls) == 2 and result.rate_opt == 1.0
         assert (result.mu_opt, result.q_opt) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("p_mix", [0.0, 0.1, 0.3])
+    @pytest.mark.parametrize("n_pulses", [1e5, 1e8, 1e10])
+    def test_refinement_stops_at_its_fixed_point(self, monkeypatch, n_pulses, p_mix, policy):
+        # past the fixed point every level re-scores the optimum's one cell: 10**8 levels used to take ~12 hours
+        trace, (neg_rate, mu, q) = search_without_stop(n_pulses, p_mix, policy, 30)
+        real, calls = optimizer.rate_surface, []
+
+        def counted(*args):
+            calls.append(None)
+            assert len(calls) <= 31, "refinement ran past its fixed point"
+            return real(*args)
+
+        monkeypatch.setattr(optimizer, "rate_surface", counted)
+        start = time.perf_counter()
+        result = optimize(n_pulses, p_mix, BUDGET, policy, refine_levels=10**8)
+        assert time.perf_counter() - start < 1.0
+        assert result.rate_opt == -neg_rate
+        if result.positive:
+            assert (result.mu_opt, result.q_opt) == (mu, q)
+        stop = result.evaluations
+        assert stop < len(trace) and np.array_equal(result.trace, trace[:stop])
+        assert np.all(trace[stop - 1 :] == (mu, q, -neg_rate))
+
+    @pytest.mark.parametrize("levels", [0, 1, 3, 15])
+    def test_levels_before_the_fixed_point_are_unchanged(self, levels):
+        for n_pulses, p_mix in ((1e5, 0.0), (1e5, 0.1), (1e10, 0.3)):
+            trace, _ = search_without_stop(n_pulses, p_mix, "discard", levels)
+            assert np.array_equal(optimize(n_pulses, p_mix, BUDGET, refine_levels=levels).trace, trace)
 
     def test_refinement_never_hurts(self):
         coarse = optimize(1e7, 0.1, BUDGET, refine_levels=0)
