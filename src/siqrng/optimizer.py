@@ -26,6 +26,11 @@ DEFAULT_Q_GRID = np.round(np.arange(1, 100) * 0.005, 10)
 
 REFINE_POINTS = 21
 
+# Most grid cells per `certify` call: its ~30 float64 temporaries stay <= 32 KB each, under
+# glibc's 64 KB free-consolidation threshold, and ~1 MB in all, inside a 2 MB L2, so far fewer
+# pages are trimmed and faulted back in; smaller blocks pay certify's fixed cost more often.
+_BLOCK_CELLS = 4096
+
 
 def rate_surface(
     n_pulses: float,
@@ -37,12 +42,12 @@ def rate_surface(
 ) -> np.ndarray:
     """Certified net bits per pulse on the (mu, q) grid, shape (len(mus), len(qs)).
 
-    The analytic model's expected counts of every grid point, certified in
-    one `certify` call.  A cell whose status is not 'ok' scores 0: its Z
-    sample is below the finite-size floor, its tomogram is nonphysical, or
-    it certifies nothing.  p_mix outside [0, 1] (NaN included), or a value
-    `certify` refuses (a non-finite or nonpositive n_pulses, an unknown
-    policy) raises ValueError rather than scoring the grid.
+    The model's expected counts, certified by `certify` in blocks of whole mu
+    rows of at most _BLOCK_CELLS cells (one row if longer), so the working set
+    stays ~1 MB on any grid; each cell is as in one call.  A cell whose status
+    is not 'ok' scores 0: its Z sample is below the finite-size floor, its
+    tomogram is nonphysical, or it certifies nothing.  p_mix outside [0, 1]
+    (NaN included), or a value `certify` refuses, raises ValueError.
     """
     _check_fraction(p_mix, "p_mix")
     mus = np.asarray(mus, dtype=float)
@@ -53,10 +58,14 @@ def rate_surface(
         raise ValueError("mu grid must lie in (0, 5]")
     if np.any(qs <= 0.0) or np.any(qs >= 0.5):
         raise ValueError("q grid must lie in (0, 0.5)")
-    # mu down the rows and q along the columns: only the counts are full grids
+    # mu down the rows and q along the columns: only the counts are full blocks
+    surface = np.empty((mus.size, qs.size))
+    rows = max(1, _BLOCK_CELLS // qs.size)
     with np.errstate(all="ignore"):  # an infinite n_pulses gives NaN counts; certify refuses it first
-        x, y, z = expected_counts(n_pulses, qs[None, :], mus[:, None], p_mix, np.exp)
-    return certify(x, y, z, n_pulses, budget, policy).rate_per_pulse
+        for start in range(0, mus.size, rows):
+            x, y, z = expected_counts(n_pulses, qs[None, :], mus[start : start + rows, None], p_mix, np.exp)
+            surface[start : start + rows] = certify(x, y, z, n_pulses, budget, policy).rate_per_pulse
+    return surface
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +103,7 @@ def optimize(
 
     mu is the detected intensity eta * mu0; divide by eta to recover the
     source setting.  Each level shrinks the step tenfold around the incumbent,
-    up to the fixed point where a level's axes equal the previous level's.
+    up to the fixed point where a level's axes hold only cells of the previous level's.
     Ties go to smaller mu, then smaller q, so repeated runs return the
     identical optimum.  When no evaluated cell is positive there is no optimum:
     the result carries rate 0, mu_opt and q_opt NaN, and the 'no positive rate' status.
@@ -117,14 +126,15 @@ def optimize(
         if level:
             _, mu_best, q_best = min(candidates)
             axes = _refine_axis(mu_best, step_mu, MU_BOX), _refine_axis(q_best, step_q, Q_BOX)
-            if all(map(np.array_equal, axes, (mu_axis, q_axis))):
-                break  # the fixed point: this level and every later one would re-score the previous surface
+            if all(set(old.tolist()).issuperset(new.tolist()) for new, old in zip(axes, (mu_axis, q_axis))):
+                break  # the fixed point: every cell of this level is already in the trace
             mu_axis, q_axis = axes
             step_mu /= 10.0
             step_q /= 10.0
         surface = rate_surface(n_pulses, p_mix, mu_axis, q_axis, budget, policy)
-        mu_mesh, q_mesh = np.meshgrid(mu_axis, q_axis, indexing="ij")
-        pieces.append(np.column_stack([mu_mesh.ravel(), q_mesh.ravel(), surface.ravel()]))
+        piece = np.empty((mu_axis.size, q_axis.size, 3))  # rows (mu, q, rate), mu-major
+        piece[..., 0], piece[..., 1], piece[..., 2] = mu_axis[:, None], q_axis, surface
+        pieces.append(piece.reshape(-1, 3))
         # first argmax in mu-major order = smallest mu, then smallest q, among ties
         i, j = divmod(int(np.argmax(surface)), q_axis.size)
         candidates.append((-float(surface[i, j]), float(mu_axis[i]), float(q_axis[j])))

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,10 +28,11 @@ def config_rate(config: ExperimentConfig, policy: str = "discard") -> float:
 
 
 def search_without_stop(n_pulses: float, p_mix: float, policy: str, levels: int):
-    """Trace and best (-rate, mu, q) of optimize's refinement on the default grids, run through every level."""
+    """Trace, best (-rate, mu, q) and each level's end row of optimize's refinement on the default grids,
+    run through every level."""
     mu_axis, q_axis = DEFAULT_MU_GRID, DEFAULT_Q_GRID
     step_mu, step_q = float(np.min(np.diff(mu_axis))), float(np.min(np.diff(q_axis)))
-    rows, best = [], []
+    rows, best, ends = [], [], []
     for level in range(levels + 1):
         if level:
             _, mu, q = min(best)
@@ -39,9 +41,10 @@ def search_without_stop(n_pulses: float, p_mix: float, policy: str, levels: int)
             step_mu, step_q = step_mu / 10.0, step_q / 10.0
         surface = rate_surface(n_pulses, p_mix, mu_axis, q_axis, BUDGET, policy)
         rows += [(mu, q, rate) for mu, row in zip(mu_axis, surface) for q, rate in zip(q_axis, row)]
+        ends.append(len(rows))
         i, j = divmod(int(np.argmax(surface)), q_axis.size)
         best.append((-float(surface[i, j]), float(mu_axis[i]), float(q_axis[j])))
-    return np.array(rows), min(best)
+    return np.array(rows), min(best), ends
 
 
 class TestRateSurface:
@@ -89,6 +92,23 @@ class TestRateSurface:
         discard = rate_surface(1e9, 0.2, mus, qs, BUDGET, "discard")
         assign = rate_surface(1e9, 0.2, mus, qs, BUDGET, "assign")
         assert np.allclose(discard, assign, atol=1e-12)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("p_mix", [0.0, 0.3])
+    @pytest.mark.parametrize("shape", [(120, 99), (1000, 7)])
+    def test_block_edges_match_scalar_pipeline(self, shape, p_mix, policy):
+        # the grid is certified in blocks of whole mu rows; neither grid's rows are a multiple of a block
+        mus, qs = np.linspace(0.1, 1.3, shape[0]), np.linspace(0.004, 0.3, shape[1])
+        rows = optimizer._BLOCK_CELLS // qs.size
+        assert rows < mus.size and mus.size % rows
+        surface = rate_surface(1e8, p_mix, mus, qs, BUDGET, policy)
+        assert surface.shape == shape
+        inner = sorted({*range(rows - 1, mus.size - 1, rows), *range(rows, mus.size, rows)})
+        assert np.all(surface[inner] > 0.0)  # so a skipped or repeated edge row cannot pass as 0
+        for i in [0, *inner, mus.size - 1]:
+            for j, q in enumerate(qs):
+                config = ExperimentConfig(n_pulses=1e8, q=q, mu0=mus[i], eta=1.0, p_mix=p_mix)
+                assert surface[i, j] == pytest.approx(config_rate(config, policy), rel=1e-10, abs=1e-15)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -171,8 +191,8 @@ class TestOptimize:
     @pytest.mark.parametrize("p_mix", [0.0, 0.1, 0.3])
     @pytest.mark.parametrize("n_pulses", [1e5, 1e8, 1e10])
     def test_refinement_stops_at_its_fixed_point(self, monkeypatch, n_pulses, p_mix, policy):
-        # past the fixed point every level re-scores the optimum's one cell: 10**8 levels used to take ~12 hours
-        trace, (neg_rate, mu, q) = search_without_stop(n_pulses, p_mix, policy, 30)
+        # past the fixed point every level re-scores cells already scored: 10**8 levels used to take ~12 hours
+        trace, (neg_rate, mu, q), ends = search_without_stop(n_pulses, p_mix, policy, 30)
         real, calls = optimizer.rate_surface, []
 
         def counted(*args):
@@ -188,13 +208,17 @@ class TestOptimize:
         if result.positive:
             assert (result.mu_opt, result.q_opt) == (mu, q)
         stop = result.evaluations
-        assert stop < len(trace) and np.array_equal(result.trace, trace[:stop])
-        assert np.all(trace[stop - 1 :] == (mu, q, -neg_rate))
+        assert stop in ends and stop < len(trace) and np.array_equal(result.trace, trace[:stop])
+        kept = set(map(tuple, result.trace.tolist()))
+        assert kept.issuperset(map(tuple, trace[stop:].tolist()))
+        # the last level scored is not itself redundant: it adds a cell the levels before it did not score
+        start = ends[ends.index(stop) - 1]
+        assert not set(map(tuple, trace[:start].tolist())).issuperset(map(tuple, trace[start:stop].tolist()))
 
     @pytest.mark.parametrize("levels", [0, 1, 3, 15])
     def test_levels_before_the_fixed_point_are_unchanged(self, levels):
         for n_pulses, p_mix in ((1e5, 0.0), (1e5, 0.1), (1e10, 0.3)):
-            trace, _ = search_without_stop(n_pulses, p_mix, "discard", levels)
+            trace, _, _ = search_without_stop(n_pulses, p_mix, "discard", levels)
             assert np.array_equal(optimize(n_pulses, p_mix, BUDGET, refine_levels=levels).trace, trace)
 
     def test_refinement_never_hurts(self):
@@ -265,3 +289,29 @@ class TestOptimize:
         for mu, q, rate in sample:
             config = ExperimentConfig(n_pulses=1e7, q=q, mu0=mu, eta=1.0, p_mix=0.0)
             assert rate == pytest.approx(config_rate(config), rel=1e-12, abs=1e-15)
+
+
+class TestPeakMemory:
+    """Traced peak allocation on the CLI's largest grid, 1000 x 1000 cells (8 MB per full-grid array)."""
+
+    MUS = np.linspace(0.005, 5.0, 1000)
+    QS = np.linspace(0.0004, 0.4995, 1000)
+
+    @staticmethod
+    def traced_peak(call) -> float:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_rate_surface(self):
+        # the surface is 7.6 MiB; the ~30 temporaries of one certify call over the whole grid would be ~230 MiB
+        peak = self.traced_peak(lambda: rate_surface(1e8, 0.1, self.MUS, self.QS, BUDGET))
+        assert peak < 32.0
+
+    def test_optimize(self):
+        # the surface, and the 23 MiB (mu, q, rate) trace of its cells with its one stacked copy
+        peak = self.traced_peak(lambda: optimize(1e8, 0.1, BUDGET, mu_grid=self.MUS, q_grid=self.QS))
+        assert peak < 64.0
