@@ -54,9 +54,10 @@ def rate_surface(
     qs = np.asarray(qs, dtype=float)
     if mus.size == 0 or qs.size == 0:
         raise ValueError("empty parameter grid")
-    if np.any(mus <= 0.0) or np.any(mus > 5.0):
+    # written as "all inside", which NaN fails, rather than "any outside", which NaN passes
+    if not (np.all(mus > 0.0) and np.all(mus <= 5.0)):
         raise ValueError("mu grid must lie in (0, 5]")
-    if np.any(qs <= 0.0) or np.any(qs >= 0.5):
+    if not (np.all(qs > 0.0) and np.all(qs < 0.5)):
         raise ValueError("q grid must lie in (0, 0.5)")
     # mu down the rows and q along the columns: only the counts are full blocks
     surface = np.empty((mus.size, qs.size))

@@ -1,8 +1,13 @@
 import gc
 import itertools
+import os
+import subprocess
 import sys
+import textwrap
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +33,9 @@ from siqrng.extractor import (
 
 GOLDEN = dict(n=3, m=2, seed=(1, 0, 1, 1), raw=(1, 0, 1), out=(0, 1))
 
+# the three postprocess blocks (n, m)
+BLOCKS = [(44_571, 10_003), (66_857, 23_199), (89_142, 37_653)]
+
 
 def spec_for(n: int, m: int, seed) -> ToeplitzSpec:
     return ToeplitzSpec(input_length=n, output_length=m, seed=np.asarray(seed))
@@ -44,6 +52,44 @@ def smallest_smooth_at_least(target: int) -> int:
         if rest == 1:
             return k
         k += 1
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """code run in a fresh interpreter that imports siqrng from this checkout."""
+    src = str(Path(extractor.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env, capture_output=True, text=True, timeout=60)
+
+
+def is_helper(thread: threading.Thread) -> bool:
+    return thread.name.startswith("siqrng-extract")
+
+
+@pytest.fixture
+def unsplit(monkeypatch):
+    """Every hash runs as one transform in this thread's kept buffers, as on one CPU."""
+    monkeypatch.setattr(extractor, "_CPUS", 1)
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Every hash of two or more raw bits is split into column halves, as past the threshold on two CPUs."""
+    monkeypatch.setattr(extractor, "_CPUS", 2)
+    monkeypatch.setattr(extractor, "_SPLIT_MIN_INPUT", 2)
+
+
+@pytest.fixture
+def hash_threads(monkeypatch):
+    """The threads that ran each half (or whole) hash, in the order they started."""
+    threads = []
+    body = extractor._hash
+
+    def recording(*args):
+        threads.append(threading.current_thread())
+        return body(*args)
+
+    monkeypatch.setattr(extractor, "_hash", recording)
+    return threads
 
 
 def reference_parse(text: str) -> np.ndarray:
@@ -102,9 +148,8 @@ class TestFftLength:
             assert _fft_length(t) == smallest_smooth_at_least(t)
 
     def test_benchmark_blocks(self):
-        # the three postprocess blocks (n, m); powers of two would be 65 536 / 131 072 / 131 072
-        blocks = [(44_571, 10_003), (66_857, 23_199), (89_142, 37_653)]
-        assert [_fft_length(n + m - 1) for n, m in blocks] == [54_675, 91_125, 128_000]
+        # powers of two would be 65 536 / 131 072 / 131 072
+        assert [_fft_length(n + m - 1) for n, m in BLOCKS] == [54_675, 91_125, 128_000]
 
 
 class TestSpec:
@@ -201,8 +246,9 @@ class TestExtraction:
         spec = spec_for(n, m, seed)
         assert np.array_equal(toeplitz_extract(raw, spec), matrix_extract(raw, spec))
 
-    @pytest.mark.parametrize("n,m", [(44_571, 10_003), (100, 27), (1 << 10, 1)])
-    def test_fft_runs_at_the_smooth_length(self, monkeypatch, n, m):
+    @staticmethod
+    def transform_lengths(monkeypatch, n: int, m: int) -> tuple[list, list]:
+        """The length of every rfft and irfft, in any thread, of a hash and of a rehash with an equal seed."""
         lengths = []
         for name in ("rfft", "irfft"):
             transform = getattr(np.fft, name)
@@ -218,11 +264,24 @@ class TestExtraction:
         spec = spec_for(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
         _seed_spectrum.cache_clear()
         toeplitz_extract(rng.integers(0, 2, n, dtype=np.uint8), spec)
-        assert lengths == [smallest_smooth_at_least(n + m - 1)] * 3
-        # an equal seed in another array reuses the kept seed spectrum: one rfft and one irfft
+        first = lengths.copy()
         lengths.clear()
         toeplitz_extract(rng.integers(0, 2, n, dtype=np.uint8), spec_for(n, m, spec.seed.copy()))
-        assert lengths == [smallest_smooth_at_least(n + m - 1)] * 2
+        return first, lengths
+
+    @pytest.mark.parametrize("n,m", [BLOCKS[0], (100, 27), (1 << 10, 1)])
+    def test_fft_runs_at_the_smooth_length(self, monkeypatch, unsplit, n, m):
+        first, again = self.transform_lengths(monkeypatch, n, m)
+        assert first == [smallest_smooth_at_least(n + m - 1)] * 3
+        # an equal seed in another array reuses the kept seed spectrum: one rfft and one irfft
+        assert again == [smallest_smooth_at_least(n + m - 1)] * 2
+
+    @pytest.mark.parametrize("n,m", [BLOCKS[0], (100, 27), (1 << 10, 1), (81, 25)])
+    def test_split_runs_at_the_halves_length(self, monkeypatch, split, n, m):
+        # both halves at the longer (right) half's length; at (81, 25) the left alone would fit 64, the right needs 72
+        first, again = self.transform_lengths(monkeypatch, n, m)
+        assert first == [smallest_smooth_at_least(n - n // 2 + m - 1)] * 6
+        assert again == [smallest_smooth_at_least(n - n // 2 + m - 1)] * 4
 
     def test_fft_matches_matrix_on_random_shapes(self):
         rng = np.random.default_rng(41)
@@ -312,6 +371,13 @@ class TestBufferReuse:
         assert np.array_equal(toeplitz_extract(raw, spec), expected)
 
     def test_threads_hash_at_once(self):
+        self.hash_at_once()
+
+    def test_threads_hash_at_once_split(self, split):
+        # four callers share the one helper, each waiting on its own left half
+        self.hash_at_once()
+
+    def hash_at_once(self):
         shapes = [[(1500, 700), (60, 5), (900, 900)], [(2000, 300), (1, 1)],
                   [(257, 31), (1200, 1100), (800, 2)], [(1024, 1024), (333, 100)]]
         # every thread also hashes two seeds the others hash, each held in an array of its own;
@@ -360,9 +426,9 @@ class TestBufferReuse:
         assert kept == _fft_length(1500 + 500 - 1) // 2 + 1
         assert _seed_spectrum.cache_info().currsize == 3
 
-    def test_repeat_call_allocates_less_than_one_fft_buffer(self):
+    def test_repeat_call_allocates_less_than_one_fft_buffer(self, unsplit):
         # the largest postprocess block; a call that allocated its own FFT arrays peaks near 22 * L bytes
-        n, m = 89_142, 37_653
+        n, m = BLOCKS[2]
         rng = np.random.default_rng(67)
         spec = spec_for(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
         raw = rng.integers(0, 2, n, dtype=np.uint8)
@@ -439,7 +505,7 @@ class TestSeedSpectra:
         monkeypatch.undo()
         assert np.array_equal(toeplitz_extract(raw, spec), matrix_extract(raw, spec))
 
-    def test_retained_memory_is_bounded(self):
+    def test_retained_memory_is_bounded(self, unsplit):
         # the worst case of _seed_spectrum's docstring: every entry at the longest kept FFT length
         cap = extractor._KEPT_SEED_LENGTH
         worst = _seed_spectrum.cache_info().maxsize * (16 * (cap // 2 + 1) + cap // 8)
@@ -461,6 +527,168 @@ class TestSeedSpectra:
             tracemalloc.stop()
         assert {_fft_length(n + m - 1) for n, m in shapes[10:]} == {cap}
         assert 0 < retained <= worst + 65536
+
+
+class TestColumnSplit:
+    """T @ r as T[:, :h] @ r[:h] XOR T[:, h:] @ r[h:], the left half hashed by the helper thread."""
+
+    @staticmethod
+    def case(n: int, m: int, seed: int):
+        rng = np.random.default_rng(seed)
+        return rng.integers(0, 2, n, dtype=np.uint8), spec_for(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
+
+    @pytest.mark.parametrize(
+        "n,m",
+        [
+            (2, 1), (2, 2), (3, 1), (3, 3),
+            # odd n: the right half is one column longer, and its seed slice one bit longer
+            (101, 40), (999, 500), (81, 25),
+            # m = n and m = 1
+            (200, 200), (201, 201), (301, 1), (1 << 12, 1),
+        ],
+    )
+    def test_matches_matrix(self, split, hash_threads, n, m):
+        raw, spec = self.case(n, m, n + m)
+        assert np.array_equal(toeplitz_extract(raw, spec), matrix_extract(raw, spec))
+        assert sorted(map(is_helper, hash_threads)) == [False, True]
+
+    def test_matches_matrix_on_random_shapes(self, split):
+        rng = np.random.default_rng(83)
+        for k in range(60):
+            n = int(rng.integers(2, 600))
+            raw, spec = self.case(n, int(rng.integers(1, n + 1)), 800 + k)
+            assert np.array_equal(toeplitz_extract(raw, spec), matrix_extract(raw, spec))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_threshold(self, monkeypatch, hash_threads, offset):
+        # on two CPUs the split starts at exactly _SPLIT_MIN_INPUT raw bits
+        monkeypatch.setattr(extractor, "_CPUS", 2)
+        n, m = extractor._SPLIT_MIN_INPUT + offset, 64
+        raw, spec = self.case(n, m, 90)
+        assert np.array_equal(toeplitz_extract(raw, spec), matrix_extract(raw, spec))
+        assert sorted(map(is_helper, hash_threads)) == ([False] if offset < 0 else [False, True])
+
+    def test_one_cpu_never_splits(self, monkeypatch, hash_threads):
+        monkeypatch.setattr(extractor, "_CPUS", 1)
+        monkeypatch.setattr(extractor, "_SPLIT_MIN_INPUT", 2)
+        raw, spec = self.case(300, 100, 91)
+        assert np.array_equal(toeplitz_extract(raw, spec), matrix_extract(raw, spec))
+        assert [is_helper(t) for t in hash_threads] == [False]
+
+    @pytest.mark.parametrize("n,m", BLOCKS)
+    def test_postprocess_blocks(self, monkeypatch, hash_threads, n, m):
+        # the matrix oracle would need up to ~27 GB, so compare with the unsplit hash and sample rows directly
+        raw, spec = self.case(n, m, 92)
+        monkeypatch.setattr(extractor, "_CPUS", 1)
+        whole = toeplitz_extract(raw, spec)
+        monkeypatch.setattr(extractor, "_CPUS", 2)
+        out = toeplitz_extract(raw, spec)
+        assert [is_helper(t) for t in hash_threads[:1]] == [False] and sorted(map(is_helper, hash_threads[1:])) == [False, True]
+        assert np.array_equal(out, whole)
+        rows = np.concatenate([[0, 1, m - 2, m - 1], np.random.default_rng(93).choice(m, 100, replace=False)])
+        for i in rows:
+            # row i of T is seed[i : i + n] reversed
+            assert out[i] == int(np.dot(spec.seed[i : i + n][::-1].astype(np.int64), raw)) & 1
+
+    def test_long_halves_stay_whole(self, monkeypatch, split, hash_threads):
+        # a half whose FFT would pass the kept length is not split: one-shot hashes at n = 1e7 keep one transform
+        monkeypatch.setattr(extractor, "_KEPT_LENGTH", 2048)
+        for n, m, halves in [(3000, 1400, [False]), (1500, 500, [False, True])]:
+            hash_threads.clear()
+            raw, spec = self.case(n, m, n)
+            assert np.array_equal(toeplitz_extract(raw, spec), matrix_extract(raw, spec))
+            assert sorted(map(is_helper, hash_threads)) == halves
+
+    @pytest.mark.parametrize("half", ["left", "right"])
+    def test_guard_fires_in_either_half(self, monkeypatch, split, half):
+        n, m = 64, 24
+        raw, spec = self.case(n, m, 94)
+        irfft = np.fft.irfft
+
+        def perturbed(*args, **kwargs):
+            result = irfft(*args, **kwargs)
+            if is_helper(threading.current_thread()) == (half == "left"):
+                result[n // 2 - 1 + m // 2] += 0.4  # row m // 2 of this half's sums
+            return result
+
+        monkeypatch.setattr(np.fft, "irfft", perturbed)
+        with pytest.raises(ValueError, match="margin"):
+            toeplitz_extract(raw, spec)
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+        assert np.array_equal(toeplitz_extract(raw, spec), matrix_extract(raw, spec))
+
+    def test_repeat_call_allocates_two_pairs_of_half_buffers(self, monkeypatch):
+        # the largest postprocess block: each half takes two fresh half-spectra (16 * L bytes for
+        # the pair) and keeps none, and its sums' float, int64 and uint8 copies add 17 * m bytes
+        monkeypatch.setattr(extractor, "_CPUS", 2)
+        n, m = BLOCKS[2]
+        raw, spec = self.case(n, m, 95)
+        toeplitz_extract(raw, spec)  # warm-up: the halves' seed spectra are kept
+        tracemalloc.start()
+        try:
+            toeplitz_extract(raw, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (16 * _fft_length(n - n // 2 + m - 1) + 17 * m)
+
+    def test_helper_enters_no_public_function(self, split):
+        # perfbench's tracer keeps one span stack; a public call from the helper would land in the caller's span
+        package = os.path.dirname(extractor.__file__)
+        entered = []
+
+        def profile(frame, event, arg):
+            if event == "call" and os.path.dirname(frame.f_code.co_filename) == package:
+                entered.append((is_helper(threading.current_thread()), frame.f_code.co_name))
+
+        extractor._helper().shutdown()
+        extractor._helper.cache_clear()  # the next helper's thread starts under the profile hook
+        threading.setprofile(profile)
+        try:
+            raw, spec = self.case(300, 100, 96)
+            assert np.array_equal(toeplitz_extract(raw, spec), matrix_extract(raw, spec))
+        finally:
+            threading.setprofile(None)
+            extractor._helper().shutdown()
+            extractor._helper.cache_clear()
+        helper_calls = {name for helper, name in entered if helper}
+        assert "_hash" in helper_calls
+        assert [name for name in helper_calls if not name.startswith(("_", "<"))] == []
+
+    def test_forked_child_hashes(self):
+        # the child inherits the parent's idle executor but not its thread; without a fresh helper it waits forever
+        result = run_python(
+            """
+            import os, signal, sys, time
+            import numpy as np
+            from siqrng import extractor
+            from siqrng.extractor import ToeplitzSpec, toeplitz_extract
+
+            extractor._CPUS, extractor._SPLIT_MIN_INPUT = 2, 2
+            rng = np.random.default_rng(97)
+            spec = ToeplitzSpec(301, 120, rng.integers(0, 2, 420, dtype=np.uint8))
+            raw = rng.integers(0, 2, 301, dtype=np.uint8)
+            expected = toeplitz_extract(raw, spec)  # starts the helper
+            pid = os.fork()
+            if pid == 0:
+                sys.exit(0 if np.array_equal(toeplitz_extract(raw, spec), expected) else 3)
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    sys.exit(os.waitstatus_to_exitcode(status))
+                time.sleep(0.01)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            sys.exit("the forked child did not hash within 10 s")
+            """
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_import_leaves_the_executor_unloaded(self):
+        # concurrent.futures costs ~9 ms to import; a console run that splits nothing should not pay it
+        result = run_python("import sys, siqrng.cli; print('concurrent.futures' in sys.modules)")
+        assert result.stdout == "False\n", result.stderr
 
 
 class TestBitSerialization:

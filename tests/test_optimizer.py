@@ -17,6 +17,9 @@ from siqrng.optimizer import (
 )
 
 BUDGET = EpsilonBudget.uniform()
+
+# rate_surface's refusals of a grid value outside its range, as regular expressions
+GRID_MESSAGES = {"mu": r"mu grid must lie in \(0, 5\]", "q": r"q grid must lie in \(0, 0\.5\)"}
 GRID_MUS = np.array([0.2, 0.5, 0.95, 1.4, 3.0])
 GRID_QS = np.array([0.005, 0.05, 0.2, 0.45])
 
@@ -121,6 +124,14 @@ class TestRateSurface:
             rate_surface(1e8, 0.1, np.array([]), np.array([0.1]), BUDGET)
         with pytest.raises(ValueError):
             rate_surface(1e8, 0.1, np.array([1.0]), np.array([0.1]), BUDGET, policy="keep")
+
+    @pytest.mark.parametrize("grid", ["mu", "q"])
+    @pytest.mark.parametrize("values", [[float("nan")], [1e-3, float("nan"), 0.2]], ids=["alone", "among"])
+    def test_nan_in_grid_refused(self, grid, values):
+        # NaN fails every comparison, so an "any outside" check let it reach certify, which named the counts
+        mus, qs = (np.array(values), np.array([0.1])) if grid == "mu" else (np.array([1.0]), np.array(values))
+        with pytest.raises(ValueError, match=f"^{GRID_MESSAGES[grid]}$"):
+            rate_surface(1e8, 0.1, mus, qs, BUDGET)
 
     def test_zero_below_finite_size_floor(self):
         # 200 pulses cannot clear the floor of 108 Z clicks at eps1 = 1e-10
@@ -259,6 +270,12 @@ class TestOptimize:
             optimize(1e8, 0.1, BUDGET, mu_grid=np.array([[1.0]]))
         with pytest.raises(ValueError):
             optimize(1e8, 0.1, BUDGET, policy="other")
+
+    @pytest.mark.parametrize("grid", ["mu", "q"])
+    @pytest.mark.parametrize("values", [[float("nan")], [1e-3, float("nan"), 0.2]], ids=["alone", "among"])
+    def test_nan_in_grid_refused(self, grid, values):
+        with pytest.raises(ValueError, match=f"^{GRID_MESSAGES[grid]}$"):
+            optimize(1e8, 0.1, BUDGET, **{f"{grid}_grid": np.array(values)})
 
     @pytest.mark.parametrize(
         "n_pulses,p_mix",
