@@ -11,8 +11,9 @@ A long hash is split by columns: with h = n // 2, T @ r = T[:, :h] @ r[:h]
 + T[:, h:] @ r[h:], and each half is itself a Toeplitz hash, the left one
 of seed[n - h:] and the right one of seed[:n - h + m - 1].  Parity is
 additive, so the output is the XOR of the two halves' outputs, bit for bit
-the same as the whole product.  When the process may run on two CPUs, one
-helper thread hashes the left half while the caller hashes the right.
+the same as the whole product.  When the process may keep two CPUs busy
+and no other thread of it is hashing, one helper thread hashes the left
+half while the caller hashes the right.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import numpy as np
 
@@ -108,10 +109,22 @@ _KEPT_LENGTH = 1 << 20
 _KEPT_SEED_LENGTH = 1 << 17
 
 
-def _scratch(length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two fresh complex128 half-spectra of length // 2 + 1 points, freed with the caller's last reference."""
-    size = length // 2 + 1
-    return np.empty(size, np.complex128), np.empty(size, np.complex128)
+def _mapped_array(size: int) -> np.ndarray:
+    """size complex128 points in a private anonymous memory mapping of their own, zero until written.
+
+    The split's helper thread keeps its pair here rather than in malloc's
+    heap, where it would hold about 0.6 MB more peak RSS on the postprocess
+    blocks.  A mapping is returned whole when its last array goes, and being
+    private, a forked child that hashes writes its own copy, not the
+    parent's buffers.
+    """
+    import mmap  # ~0.4 ms to import, which a console run that hashes nothing skips
+
+    private = {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS} if hasattr(mmap, "MAP_PRIVATE") else {}
+    mapping = mmap.mmap(-1, 16 * size, **private)
+    if 16 * size >= 1 << 22 and hasattr(mmap, "MADV_HUGEPAGE"):
+        mapping.madvise(mmap.MADV_HUGEPAGE)  # as numpy advises its own arrays from 4 MiB
+    return np.frombuffer(mapping, np.complex128)
 
 
 def _spectra(length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -120,31 +133,38 @@ def _spectra(length: int) -> tuple[np.ndarray, np.ndarray]:
     The buffers grow to the largest kept length L the thread has hashed and
     never shrink, about 16 * L bytes for the pair, so hashing block after
     block reuses resident pages instead of faulting fresh ones in.  Each
-    thread has its own pair, so no lock is needed.  A longer hash gets a pair
-    of its own, freed when the call returns.
+    thread has its own pair, so no lock is needed; the split's helper thread
+    keeps one too, in _mapped_array.  A caller's pair comes from malloc:
+    glibc raises its mmap threshold as a smaller pair is freed, after which
+    pocketfft's per-call scratch is reused from the heap instead of mapped
+    and faulted in afresh on every transform.  A longer hash gets a pair of
+    its own, freed when the call returns.
     """
-    if length > _KEPT_LENGTH:
-        return _scratch(length)
     size = length // 2 + 1
+    if length > _KEPT_LENGTH:
+        return np.empty(size, np.complex128), np.empty(size, np.complex128)
     pair = getattr(_buffers, "pair", None)
     if pair is None or pair[0].size < size:
         _buffers.pair = None  # free the smaller pair before allocating the larger
-        pair = _buffers.pair = (np.empty(size, np.complex128), np.empty(size, np.complex128))
+        allocate = _mapped_array if getattr(_buffers, "mapped", False) else lambda size: np.empty(size, np.complex128)
+        pair = _buffers.pair = (allocate(size), allocate(size))
     return pair[0][:size], pair[1][:size]
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=16)
 def _seed_spectrum(seed_bytes: bytes, length: int) -> np.ndarray:
     """Read-only half-spectrum of the seed packed MSB-first in seed_bytes, zero-padded to length points.
 
     The packed bits and the length fix the padded seed exactly: packing pads
     with zeros, as the transform does, so equal keys have equal spectra.  A
     post-processor reuses its seed block after block, so each hit saves one
-    transform.  toeplitz_extract keeps spectra of length <= _KEPT_SEED_LENGTH
-    only, so one entry holds at most 16 * (2**16 + 1) bytes of spectrum plus
-    2**14 bytes of key, 1.07 MB, and the 8 entries at most 8.5 MB.  Only the
-    seed is kept, which the hash family treats as public; raw bits and
-    outputs never are.
+    transform.  A split hash keeps one entry per column half, so the 16
+    entries hold 8 seeds whether split or not.  toeplitz_extract keeps
+    spectra of length <= _KEPT_SEED_LENGTH only, so one entry holds at most
+    16 * (2**16 + 1) bytes of spectrum plus 2**14 bytes of key, 1.07 MB, and
+    the 16 entries at most 17.1 MB; a half's entry is about 0.65 of its
+    seed's unsplit one.  Only the seed is kept, which the hash family treats
+    as public; raw bits and outputs never are.
     """
     bits = np.unpackbits(np.frombuffer(seed_bytes, np.uint8))
     spectrum = np.fft.rfft(bits, length)  # cuts off any packing zeros past length
@@ -152,8 +172,47 @@ def _seed_spectrum(seed_bytes: bytes, length: int) -> np.ndarray:
     return spectrum
 
 
-# CPUs this process may run on; the column split needs a second one for its helper thread.
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
+def _cgroup_cpus(cgroups: Path = Path("/proc/self/cgroup"), mount: Path = Path("/sys/fs/cgroup")) -> float:
+    """CPUs' worth of run time per period that cgroup CPU quotas leave this process, inf without a quota.
+
+    Each line of cgroups names a hierarchy and the process's path in it.
+    cgroup v2 ("0::/path") keeps the quota in cpu.max under mount ("max
+    100000", or "150000 100000" for 1.5 CPUs); v1's cpu controller keeps it
+    in cpu.cfs_quota_us (-1 for none) and cpu.cfs_period_us under mount/cpu.
+    A quota on the process's cgroup or on any ancestor binds; a file that
+    cannot be read sets none.
+    """
+    try:
+        lines = cgroups.read_text().splitlines()
+    except OSError:
+        return math.inf
+    limit = math.inf
+    for line in lines:
+        fields = line.split(":", 2)
+        if len(fields) != 3 or (fields[1] and "cpu" not in fields[1].split(",")):
+            continue  # not a hierarchy line, or a v1 hierarchy without the cpu controller
+        _, controllers, path = fields
+        root = mount if not controllers else mount / "cpu"
+        here = PurePosixPath(path.lstrip("/"))
+        for directory in (root / here, *(root / parent for parent in here.parents)):
+            try:
+                if not controllers:
+                    quota, period = (directory / "cpu.max").read_text().split()
+                else:
+                    quota, period = ((directory / name).read_text() for name in ("cpu.cfs_quota_us", "cpu.cfs_period_us"))
+                if quota.strip() not in ("max", "-1"):
+                    limit = min(limit, int(quota) / int(period))
+            except (OSError, ValueError):
+                pass
+    return limit
+
+
+@functools.cache
+def _cpus() -> float:
+    """CPUs this process may keep busy at once, read on first use: its affinity set, capped by any cgroup quota."""
+    affinity = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
+    return min(affinity, _cgroup_cpus())
+
 
 # Shortest input hashed as two column halves at once.  On a 2-vCPU host a half reaches the
 # helper in ~40 us, and the split took 0.94-1.7x the unsplit time at n = 8 000-28 000 but
@@ -161,18 +220,63 @@ _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (o
 _SPLIT_MIN_INPUT = 1 << 15
 
 
-@functools.cache
-def _helper():
-    """The one worker thread that hashes the left column half, started on first use."""
-    from concurrent.futures import ThreadPoolExecutor  # ~9 ms to import, which `import siqrng.cli` skips
+class _Helper:
+    """A daemon thread that hashes the left column half of one split hash at a time.
 
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="siqrng-extract")
+    Being a daemon, it keeps serving atexit handlers and threads that still
+    hash after the main thread has returned, and never holds up the exit.
+    """
+
+    def __init__(self) -> None:
+        import queue  # ~1 ms to import, which a console run that splits nothing skips
+
+        self._reply_queue = queue.SimpleQueue
+        self._tasks = queue.SimpleQueue()
+        threading.Thread(target=self._serve, name="siqrng-extract", daemon=True).start()
+
+    def _serve(self) -> None:
+        _buffers.mapped = True  # this thread's pair lives in _mapped_array
+        for function, args, reply in iter(self._tasks.get, None):  # None ends the thread
+            try:
+                reply.put((function(*args), None))
+            except BaseException as error:
+                reply.put((None, error))
+
+    def submit(self, function, *args):
+        """A queue that will hold (function(*args), None), or (None, the exception it raised)."""
+        reply = self._reply_queue()
+        self._tasks.put((function, args, reply))
+        return reply
 
 
-# A forked child inherits the executor but not its thread, and the executor would queue the
-# child's work for that idle thread forever; the child starts a helper of its own instead.
+_helper: _Helper | None = None
+
+# toeplitz_extract calls running in this process.  Only a call that runs alone splits: the
+# split pays only with a second CPU free, and a process whose threads hash at once has none.
+# So at most one split runs at a time, and the helper never has a half queued.
+_hashing = 0
+_hashing_lock = threading.Lock()
+
+
+def _started_helper() -> _Helper | None:
+    """The helper, started on first use; None when no thread can start, as during interpreter shutdown."""
+    global _helper
+    if _helper is None:
+        try:
+            _helper = _Helper()
+        except RuntimeError:
+            return None
+    return _helper
+
+
+def _forget_helper() -> None:
+    """In a forked child: the parent's helper thread and hashing threads did not come along."""
+    global _helper, _hashing, _hashing_lock
+    _helper, _hashing, _hashing_lock = None, 0, threading.Lock()
+
+
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_helper.cache_clear)
+    os.register_at_fork(after_in_child=_forget_helper)
 
 
 def _staged(bits: np.ndarray, buffer: np.ndarray, length: int) -> np.ndarray:
@@ -183,35 +287,40 @@ def _staged(bits: np.ndarray, buffer: np.ndarray, length: int) -> np.ndarray:
     return staged
 
 
-def _hash(raw: np.ndarray, seed: np.ndarray, m: int, length: int, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """The m parities of the Toeplitz hash of raw by seed, by a circular convolution of the given length.
+def _kept_spectrum(seed: np.ndarray, length: int) -> np.ndarray | None:
+    """seed's spectrum at length from _seed_spectrum (16 entries, at most 17.1 MB); None past _KEPT_SEED_LENGTH."""
+    return _seed_spectrum(np.packbits(seed).tobytes(), length) if length <= _KEPT_SEED_LENGTH else None
 
-    first and second hold length // 2 + 1 complex points each and are
-    scratch: their contents on entry are ignored and on return are garbage.
-    Up to _KEPT_SEED_LENGTH the seed's spectrum comes from _seed_spectrum
-    (8 seeds, at most 8.5 MB), and the raw bits are staged in first's float
-    view and transformed into second, so a repeated seed costs one rfft and
-    one irfft.  Above it the seed is staged in second and transformed into
-    first, which holds its spectrum for this call only, and rfft casts the
-    raw bits itself, so no third FFT-length array is allocated.  The
-    product's inverse lands in first's float view.  The rounding check runs
-    here, so a split hash checks each half.
+
+def _row_sums(raw: np.ndarray, seed: np.ndarray, seed_spectrum: np.ndarray | None, m: int, length: int) -> np.ndarray:
+    """The m row sums of the Toeplitz hash of raw by seed, by a circular convolution of the given length.
+
+    Every FFT-length array lives in the calling thread's two buffers from
+    _spectra, first and second.  With seed_spectrum given (_kept_spectrum),
+    the raw bits are staged in first's float view and transformed into
+    second, so a repeated seed costs one rfft and one irfft.  Without it the
+    seed is staged in second and transformed into first, which holds its
+    spectrum for this call only, and rfft casts the raw bits itself, so no
+    third FFT-length array is allocated.  The product's inverse lands in
+    first's float view, and the sums rounded to integers, as float64, in
+    second's, which the caller must read before this thread hashes again.
+    The rounding check runs here, so a split hash checks each half.
     """
     n = raw.size
-    if length <= _KEPT_SEED_LENGTH:
-        seed_spectrum = _seed_spectrum(np.packbits(seed).tobytes(), length)
+    first, second = _spectra(length)
+    if seed_spectrum is not None:
         np.fft.rfft(_staged(raw, first, length), out=second)
     else:
         seed_spectrum = np.fft.rfft(_staged(seed, second, length), out=first)
         np.fft.rfft(raw, length, out=second)
     second *= seed_spectrum
     sums = np.fft.irfft(second, length, out=first.view(np.float64)[:length])[n - 1 : n - 1 + m]
-    rounded = np.rint(sums)
+    rounded = np.rint(sums, out=second.view(np.float64)[:m])
     sums -= rounded
     error = float(np.abs(sums, out=sums).max())
     if not error <= ROUNDING_MARGIN:
         raise ValueError(f"FFT row sums lie {error:.3g} from an integer, past the {ROUNDING_MARGIN} margin")
-    return rounded.astype(np.int64).astype(np.uint8) & 1
+    return rounded
 
 
 def toeplitz_extract(raw_bits, spec: ToeplitzSpec) -> np.ndarray:
@@ -223,20 +332,27 @@ def toeplitz_extract(raw_bits, spec: ToeplitzSpec) -> np.ndarray:
     raised when any sum lies more than ROUNDING_MARGIN from an integer, on
     every call, whether the seed's spectrum was kept or not.
 
-    The hash is split by columns (see the module docstring) when the process
-    may use two CPUs, n >= _SPLIT_MIN_INPUT and each half's FFT length, the
-    5-smooth length >= n - n // 2 + m - 1 for both, is at most _KEPT_LENGTH.
-    The helper thread hashes the left half and the calling thread the right,
-    each in two fresh arrays and each with its own rounding check; the XOR of
-    the two is the output, bit for bit.  The helper runs only private code,
-    so a tracer wrapping this module's public functions sees one call.
+    The hash is split by columns (see the module docstring) when four things
+    hold: the process may keep two CPUs busy (its affinity set and any cgroup
+    CPU quota, read once); no other call of this function is running in the
+    process, so concurrent callers already fill the CPUs and each hashes
+    whole; n >= _SPLIT_MIN_INPUT; and each half's FFT length, the 5-smooth
+    length >= n - n // 2 + m - 1 for both, is at most _KEPT_LENGTH.  Load
+    from other processes, or from this one's threads doing other work, is
+    not seen.  The helper thread hashes the left half and the calling thread
+    the right, each in its own kept buffers and each with its own rounding
+    check; the sum of the two halves' row sums, taken mod 2, is the output,
+    bit for bit.  When the helper cannot start, as in an atexit handler on
+    Python 3.12 and later, the hash runs whole.  The helper runs only
+    private code, so a tracer wrapping this module's public functions sees
+    one call.
 
-    Otherwise every FFT-length array lives in the two buffers from _spectra,
-    which the calling thread keeps for later calls up to 2**20 points (16
-    bytes a point, about 16 MB); a longer hash allocates its own and keeps
-    nothing.  Either way a kept seed spectrum (one per half, when split)
-    saves a transform, as _hash describes.  The returned bits are a fresh
-    array; the buffers are scratch for the next call.
+    Every FFT-length array lives in the two buffers from _spectra, which
+    each thread keeps for later calls up to 2**20 points (16 bytes a point,
+    about 16 MB); a longer hash allocates its own and keeps nothing.  Either
+    way a kept seed spectrum (one per half, when split) saves a transform,
+    as _row_sums describes.  The returned bits are a fresh array; the
+    buffers are scratch for the next call.
     """
     raw = _as_bits(raw_bits, "raw_bits")
     if raw.size != spec.input_length:
@@ -244,17 +360,37 @@ def toeplitz_extract(raw_bits, spec: ToeplitzSpec) -> np.ndarray:
     if spec.output_length == 0:
         return np.zeros(0, dtype=np.uint8)
     n, m = spec.input_length, spec.output_length
-    h = n // 2
-    half_length = _fft_length(n - h + m - 1)  # the right half is the longer when n is odd
-    if _CPUS >= 2 and n >= _SPLIT_MIN_INPUT and half_length <= _KEPT_LENGTH:
-        pending = _helper().submit(_hash, raw[:h], spec.seed[n - h :], m, half_length, *_scratch(half_length))
-        try:
-            right = _hash(raw[h:], spec.seed[: n - h + m - 1], m, half_length, *_scratch(half_length))
-        finally:
-            left = pending.result()
-        return left ^ right
-    length = _fft_length(n + m - 1)
-    return _hash(raw, spec.seed, m, length, *_spectra(length))
+    global _hashing
+    with _hashing_lock:
+        _hashing += 1
+        alone = _hashing == 1
+    try:
+        if alone and n >= _SPLIT_MIN_INPUT:
+            h = n // 2
+            half_length = _fft_length(n - h + m - 1)  # the right half is the longer when n is odd
+            helper = half_length <= _KEPT_LENGTH and _cpus() >= 2 and _started_helper()
+            if helper:
+                # both seeds' spectra are looked up before either half grows its pair, as for the unsplit hash below
+                left_seed, right_seed = spec.seed[n - h :], spec.seed[: n - h + m - 1]
+                left_spectrum = _kept_spectrum(left_seed, half_length)
+                right_spectrum = _kept_spectrum(right_seed, half_length)
+                reply = helper.submit(_row_sums, raw[:h], left_seed, left_spectrum, m, half_length)
+                try:
+                    sums = _row_sums(raw[h:], right_seed, right_spectrum, m, half_length)
+                finally:
+                    left, error = reply.get()
+                if error is not None:
+                    raise error
+                sums += left  # integers below 2**53, so exact
+                return sums.astype(np.int64).astype(np.uint8) & 1
+        length = _fft_length(n + m - 1)
+        # the seed's spectrum is looked up before _row_sums grows this thread's pair: in that order a
+        # loop over the postprocess blocks faulted no pages per call, in the other up to 926
+        sums = _row_sums(raw, spec.seed, _kept_spectrum(spec.seed, length), m, length)
+        return sums.astype(np.int64).astype(np.uint8) & 1
+    finally:
+        with _hashing_lock:
+            _hashing -= 1
 
 
 # --- bit-string serialization ---

@@ -65,16 +65,21 @@ def is_helper(thread: threading.Thread) -> bool:
     return thread.name.startswith("siqrng-extract")
 
 
+def cpus(count: float):
+    """A stand-in for extractor._cpus: the process may keep count CPUs busy."""
+    return lambda: count
+
+
 @pytest.fixture
 def unsplit(monkeypatch):
     """Every hash runs as one transform in this thread's kept buffers, as on one CPU."""
-    monkeypatch.setattr(extractor, "_CPUS", 1)
+    monkeypatch.setattr(extractor, "_cpus", cpus(1))
 
 
 @pytest.fixture
 def split(monkeypatch):
-    """Every hash of two or more raw bits is split into column halves, as past the threshold on two CPUs."""
-    monkeypatch.setattr(extractor, "_CPUS", 2)
+    """Every hash of two or more raw bits that runs alone is split into column halves, as past the threshold on two CPUs."""
+    monkeypatch.setattr(extractor, "_cpus", cpus(2))
     monkeypatch.setattr(extractor, "_SPLIT_MIN_INPUT", 2)
 
 
@@ -82,13 +87,13 @@ def split(monkeypatch):
 def hash_threads(monkeypatch):
     """The threads that ran each half (or whole) hash, in the order they started."""
     threads = []
-    body = extractor._hash
+    body = extractor._row_sums
 
     def recording(*args):
         threads.append(threading.current_thread())
         return body(*args)
 
-    monkeypatch.setattr(extractor, "_hash", recording)
+    monkeypatch.setattr(extractor, "_row_sums", recording)
     return threads
 
 
@@ -374,14 +379,14 @@ class TestBufferReuse:
         self.hash_at_once()
 
     def test_threads_hash_at_once_split(self, split):
-        # four callers share the one helper, each waiting on its own left half
+        # a caller splits only while no other thread hashes, so splits and whole hashes interleave
         self.hash_at_once()
 
     def hash_at_once(self):
         shapes = [[(1500, 700), (60, 5), (900, 900)], [(2000, 300), (1, 1)],
                   [(257, 31), (1200, 1100), (800, 2)], [(1024, 1024), (333, 100)]]
         # every thread also hashes two seeds the others hash, each held in an array of its own;
-        # with 12 seeds against 8 kept spectra, hits race misses and evictions throughout
+        # with 12 seeds, split into up to 24 halves, against 16 kept spectra, hits race misses and evictions
         shared = [self.case(700, 300, 1), self.case(96, 33, 2)]
         work = [
             [self.case(n, m, 100 * t + k) for k, (n, m) in enumerate(row)]
@@ -509,7 +514,7 @@ class TestSeedSpectra:
         # the worst case of _seed_spectrum's docstring: every entry at the longest kept FFT length
         cap = extractor._KEPT_SEED_LENGTH
         worst = _seed_spectrum.cache_info().maxsize * (16 * (cap // 2 + 1) + cap // 8)
-        assert _fft_length(128_000) <= cap and worst <= 10e6
+        assert _fft_length(128_000) <= cap and worst <= 17.1e6
         # 30 seeds, the last 20 padding to the cap itself
         shapes = [(200 + 50 * k, 100) for k in range(10)] + [(cap - 1000 - k, 1001 + k) for k in range(20)]
         n, m = shapes[-1]
@@ -562,14 +567,16 @@ class TestColumnSplit:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_threshold(self, monkeypatch, hash_threads, offset):
         # on two CPUs the split starts at exactly _SPLIT_MIN_INPUT raw bits
-        monkeypatch.setattr(extractor, "_CPUS", 2)
+        monkeypatch.setattr(extractor, "_cpus", cpus(2))
         n, m = extractor._SPLIT_MIN_INPUT + offset, 64
         raw, spec = self.case(n, m, 90)
         assert np.array_equal(toeplitz_extract(raw, spec), matrix_extract(raw, spec))
         assert sorted(map(is_helper, hash_threads)) == ([False] if offset < 0 else [False, True])
 
-    def test_one_cpu_never_splits(self, monkeypatch, hash_threads):
-        monkeypatch.setattr(extractor, "_CPUS", 1)
+    @pytest.mark.parametrize("count", [1, 1.9])
+    def test_under_two_cpus_never_splits(self, monkeypatch, hash_threads, count):
+        # one CPU, or a cgroup quota of 1.9 CPUs' time on two: the split's halves would queue for the CPU
+        monkeypatch.setattr(extractor, "_cpus", cpus(count))
         monkeypatch.setattr(extractor, "_SPLIT_MIN_INPUT", 2)
         raw, spec = self.case(300, 100, 91)
         assert np.array_equal(toeplitz_extract(raw, spec), matrix_extract(raw, spec))
@@ -579,9 +586,9 @@ class TestColumnSplit:
     def test_postprocess_blocks(self, monkeypatch, hash_threads, n, m):
         # the matrix oracle would need up to ~27 GB, so compare with the unsplit hash and sample rows directly
         raw, spec = self.case(n, m, 92)
-        monkeypatch.setattr(extractor, "_CPUS", 1)
+        monkeypatch.setattr(extractor, "_cpus", cpus(1))
         whole = toeplitz_extract(raw, spec)
-        monkeypatch.setattr(extractor, "_CPUS", 2)
+        monkeypatch.setattr(extractor, "_cpus", cpus(2))
         out = toeplitz_extract(raw, spec)
         assert [is_helper(t) for t in hash_threads[:1]] == [False] and sorted(map(is_helper, hash_threads[1:])) == [False, True]
         assert np.array_equal(out, whole)
@@ -617,22 +624,22 @@ class TestColumnSplit:
         monkeypatch.setattr(np.fft, "irfft", irfft)
         assert np.array_equal(toeplitz_extract(raw, spec), matrix_extract(raw, spec))
 
-    def test_repeat_call_allocates_two_pairs_of_half_buffers(self, monkeypatch):
-        # the largest postprocess block: each half takes two fresh half-spectra (16 * L bytes for
-        # the pair) and keeps none, and its sums' float, int64 and uint8 copies add 17 * m bytes
-        monkeypatch.setattr(extractor, "_CPUS", 2)
+    def test_repeat_call_allocates_less_than_one_half_buffer(self, monkeypatch):
+        # the largest postprocess block: each thread hashes its half in its kept pair, so only the
+        # m-point int64 and uint8 parities are allocated; one half's buffer would be 8 * L bytes
+        monkeypatch.setattr(extractor, "_cpus", cpus(2))
         n, m = BLOCKS[2]
         raw, spec = self.case(n, m, 95)
-        toeplitz_extract(raw, spec)  # warm-up: the halves' seed spectra are kept
+        toeplitz_extract(raw, spec)  # warm-up: both threads' pairs grow and the halves' seed spectra are kept
         tracemalloc.start()
         try:
             toeplitz_extract(raw, spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * (16 * _fft_length(n - n // 2 + m - 1) + 17 * m)
+        assert peak < 8 * _fft_length(n - n // 2 + m - 1)
 
-    def test_helper_enters_no_public_function(self, split):
+    def test_helper_enters_no_public_function(self, monkeypatch, split):
         # perfbench's tracer keeps one span stack; a public call from the helper would land in the caller's span
         package = os.path.dirname(extractor.__file__)
         entered = []
@@ -641,22 +648,21 @@ class TestColumnSplit:
             if event == "call" and os.path.dirname(frame.f_code.co_filename) == package:
                 entered.append((is_helper(threading.current_thread()), frame.f_code.co_name))
 
-        extractor._helper().shutdown()
-        extractor._helper.cache_clear()  # the next helper's thread starts under the profile hook
+        monkeypatch.setattr(extractor, "_helper", None)  # the next helper's thread starts under the profile hook
         threading.setprofile(profile)
         try:
             raw, spec = self.case(300, 100, 96)
             assert np.array_equal(toeplitz_extract(raw, spec), matrix_extract(raw, spec))
         finally:
             threading.setprofile(None)
-            extractor._helper().shutdown()
-            extractor._helper.cache_clear()
+            if extractor._helper is not None:
+                extractor._helper._tasks.put(None)  # end the profiled helper's thread
         helper_calls = {name for helper, name in entered if helper}
-        assert "_hash" in helper_calls
+        assert "_row_sums" in helper_calls
         assert [name for name in helper_calls if not name.startswith(("_", "<"))] == []
 
     def test_forked_child_hashes(self):
-        # the child inherits the parent's idle executor but not its thread; without a fresh helper it waits forever
+        # the child inherits the parent's helper but not its thread; without a fresh helper it waits forever
         result = run_python(
             """
             import os, signal, sys, time
@@ -664,7 +670,7 @@ class TestColumnSplit:
             from siqrng import extractor
             from siqrng.extractor import ToeplitzSpec, toeplitz_extract
 
-            extractor._CPUS, extractor._SPLIT_MIN_INPUT = 2, 2
+            extractor._cpus, extractor._SPLIT_MIN_INPUT = (lambda: 2), 2
             rng = np.random.default_rng(97)
             spec = ToeplitzSpec(301, 120, rng.integers(0, 2, 420, dtype=np.uint8))
             raw = rng.integers(0, 2, 301, dtype=np.uint8)
@@ -685,10 +691,140 @@ class TestColumnSplit:
         )
         assert result.returncode == 0, result.stderr
 
-    def test_import_leaves_the_executor_unloaded(self):
-        # concurrent.futures costs ~9 ms to import; a console run that splits nothing should not pay it
-        result = run_python("import sys, siqrng.cli; print('concurrent.futures' in sys.modules)")
-        assert result.stdout == "False\n", result.stderr
+    def test_import_leaves_the_helper_unloaded(self):
+        # queue and mmap cost ~1.4 ms to import; a console run that hashes nothing should not pay it
+        result = run_python("import sys, siqrng.cli; print([m for m in ('queue', 'mmap', 'concurrent.futures') if m in sys.modules])")
+        assert result.stdout == "[]\n", result.stderr
+
+    @pytest.mark.parametrize("helper", ["started early", "started late"])
+    def test_hashes_after_the_main_thread_returns(self, helper):
+        # a thread still hashing after the main thread has returned, then an atexit handler: by then
+        # a thread pool would refuse new work, and on Python 3.12 and later no thread can start in
+        # atexit, where the hash must run whole
+        result = run_python(
+            f"""
+            import atexit, threading, time
+            import numpy as np
+            from siqrng import extractor
+            from siqrng.extractor import ToeplitzSpec, toeplitz_extract
+
+            n, m = 44_571, 10_003
+            rng = np.random.default_rng(98)
+            spec = ToeplitzSpec(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
+            raw = rng.integers(0, 2, n, dtype=np.uint8)
+            extractor._cpus = lambda: 1
+            expected = toeplitz_extract(raw, spec)
+            extractor._cpus = lambda: 2
+            if {helper!r} == "started early":
+                assert np.array_equal(toeplitz_extract(raw, spec), expected) and extractor._helper is not None
+
+            def late():
+                time.sleep(0.3)  # the main thread has returned by now
+                print("thread", np.array_equal(toeplitz_extract(raw, spec), expected), flush=True)
+
+            atexit.register(lambda: print("atexit", np.array_equal(toeplitz_extract(raw, spec), expected), flush=True))
+            threading.Thread(target=late).start()
+            """
+        )
+        assert (result.returncode, result.stdout) == (0, "thread True\natexit True\n"), result.stderr
+
+    def test_hashes_whole_when_no_helper_starts(self, monkeypatch, split, hash_threads):
+        def refused():
+            raise RuntimeError("can't create new thread at interpreter shutdown")
+
+        monkeypatch.setattr(extractor, "_helper", None)
+        monkeypatch.setattr(extractor, "_Helper", refused)
+        raw, spec = self.case(300, 100, 99)
+        assert np.array_equal(toeplitz_extract(raw, spec), matrix_extract(raw, spec))
+        assert [is_helper(t) for t in hash_threads] == [False]
+
+    def test_a_hash_beside_another_runs_whole(self, monkeypatch, split):
+        # while one thread hashes, the CPUs are taken: a second caller hashes whole, and splits again once alone
+        body = extractor._row_sums
+        threads, entered, release = [], threading.Event(), threading.Event()
+
+        def gated(*args):
+            threads.append(threading.current_thread().name)
+            if threading.current_thread().name == "first":
+                entered.set()
+                release.wait(30)
+            return body(*args)
+
+        monkeypatch.setattr(extractor, "_row_sums", gated)
+        raw, spec = self.case(300, 100, 100)
+        expected = matrix_extract(raw, spec)
+        results = []
+        first = threading.Thread(target=lambda: results.append(toeplitz_extract(raw, spec)), name="first")
+        first.start()
+        try:
+            assert entered.wait(30)
+            threads.clear()
+            assert np.array_equal(toeplitz_extract(raw, spec), expected)
+            beside = threads.copy()
+        finally:
+            release.set()
+            first.join(30)
+        assert beside == [threading.current_thread().name]
+        assert np.array_equal(results[0], expected)
+        threads.clear()
+        assert np.array_equal(toeplitz_extract(raw, spec), expected)
+        assert sorted(name.startswith("siqrng-extract") for name in threads) == [False, True]
+
+    def test_eight_split_seeds_stay_kept(self, split):
+        # each split seed keeps one spectrum per half, so 16 entries hold 8 seeds: a second pass is all hits
+        cases = [self.case(400, 90, 110 + k) for k in range(8)]
+        _seed_spectrum.cache_clear()
+        for _ in range(2):
+            for raw, spec in cases:
+                assert np.array_equal(toeplitz_extract(raw, spec), matrix_extract(raw, spec))
+        assert _seed_spectrum.cache_info()[:2] == (16, 16)
+
+
+class TestCpuBudget:
+    """The CPUs a split may count on: the affinity set, capped by cgroup v1 or v2 CPU quotas."""
+
+    @staticmethod
+    def tree(tmp_path, cgroup: str, files: dict[str, str]):
+        (tmp_path / "cgroup").write_text(cgroup)
+        mount = tmp_path / "fs"
+        for name, text in files.items():
+            (mount / name).parent.mkdir(parents=True, exist_ok=True)
+            (mount / name).write_text(text)
+        return tmp_path / "cgroup", mount
+
+    @pytest.mark.parametrize(
+        "cgroup,files,expected",
+        [
+            # v2: the tightest quota on the path from the process's cgroup to the root binds
+            ("0::/a/b\n", {"a/b/cpu.max": "max 100000\n", "a/cpu.max": "150000 100000\n", "cpu.max": "400000 100000\n"}, 1.5),
+            ("0::/\n", {"cpu.max": "max 100000\n"}, float("inf")),
+            ("0::/\n", {"cpu.max": "300000 100000\n"}, 3.0),
+            # v1: the cpu controller's cfs files, -1 for none; other controllers are ignored
+            ("not a hierarchy\n5:memory:/c\n4:cpu,cpuacct:/c\n", {"cpu/c/cpu.cfs_quota_us": "-1\n", "cpu/c/cpu.cfs_period_us": "100000\n",
+                                                   "cpu/cpu.cfs_quota_us": "50000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 0.5),
+            # a container whose own cgroup is mounted at the root, under a path it cannot see
+            ("4:cpu,cpuacct:/docker/1f\n", {"cpu/cpu.cfs_quota_us": "100000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 1.0),
+            # no cgroup files at all, or unreadable ones
+            ("0::/a\n", {}, float("inf")),
+            ("0::/a\n", {"a/cpu.max": "garbled\n"}, float("inf")),
+        ],
+    )
+    def test_quota(self, tmp_path, cgroup, files, expected):
+        assert extractor._cgroup_cpus(*self.tree(tmp_path, cgroup, files)) == expected
+
+    def test_no_cgroup_file(self, tmp_path):
+        assert extractor._cgroup_cpus(tmp_path / "missing", tmp_path) == float("inf")
+
+    def test_quota_caps_the_affinity_set(self, monkeypatch):
+        try:
+            monkeypatch.setattr(extractor, "_cgroup_cpus", lambda: float("inf"))
+            extractor._cpus.cache_clear()
+            affinity = extractor._cpus()
+            monkeypatch.setattr(extractor, "_cgroup_cpus", lambda: 1.5)
+            extractor._cpus.cache_clear()
+            assert affinity >= 1 and extractor._cpus() == min(1.5, affinity)
+        finally:
+            extractor._cpus.cache_clear()
 
 
 class TestBitSerialization:
