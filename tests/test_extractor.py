@@ -699,8 +699,8 @@ class TestColumnSplit:
     @pytest.mark.parametrize("helper", ["started early", "started late"])
     def test_hashes_after_the_main_thread_returns(self, helper):
         # a thread still hashing after the main thread has returned, then an atexit handler: by then
-        # a thread pool would refuse new work, and on Python 3.12 and later no thread can start in
-        # atexit, where the hash must run whole
+        # a thread pool would refuse new work, and Python 3.12 starts no new thread, so a helper not
+        # started early leaves both hashes to run whole
         result = run_python(
             f"""
             import atexit, threading, time
