@@ -114,9 +114,8 @@ def _mapped_array(size: int) -> np.ndarray:
 
     The split's helper thread keeps its pair here rather than in malloc's
     heap, where it would hold about 0.6 MB more peak RSS on the postprocess
-    blocks.  A mapping is returned whole when its last array goes, and being
-    private, a forked child that hashes writes its own copy, not the
-    parent's buffers.
+    blocks.  A mapping is returned whole when its last array goes, and it
+    is private, copied on write into a forked child as malloc's memory is.
     """
     import mmap  # ~0.4 ms to import, which a console run that hashes nothing skips
 
