@@ -2,12 +2,16 @@
 
 Each entry of scripts/mutants.json names a file, an exact original text
 that must occur in it once, a replacement, the test files that must
-catch the change, and optionally a note on what the mutant weakens.  The runner copies src/, tests/ and pyproject.toml to a
-temporary directory, checks the unmutated copy passes every named test
-file, then applies one mutant at a time and runs its test files with
-pytest -x -q, one pytest process at a time.  The run fails when a mutant
-survives, when its original text no longer occurs exactly once (a stale
-table), or when a mutant breaks collection instead of failing a test.
+catch the change, and optionally a note on what the mutant weakens.  An
+entry with "equivalent": true is a mutant that no test can tell apart
+from the original; its note says why, and it must survive.  The runner
+copies src/, tests/ and pyproject.toml to a temporary directory, checks
+the unmutated copy passes every named test file, then applies one mutant
+at a time and runs its test files with pytest -x -q, one pytest process
+at a time.  The run fails when a mutant survives (or one marked
+equivalent is killed), when its original text no longer occurs exactly
+once (a stale table), or when a mutant breaks collection instead of
+failing a test.
 tests/test_package.py runs the same stale-table check with every test run.
 
 Usage:
@@ -75,12 +79,17 @@ def main() -> int:
                 status = run_tests(copy, mutant["tests"])
             finally:
                 path.write_text(original)
-            verdict = {0: "SURVIVED", TESTS_FAILED: "killed"}.get(status, f"BROKEN (pytest exit {status})")
+            if mutant.get("equivalent", False):
+                expected, verdicts = 0, {0: "equivalent", TESTS_FAILED: "KILLED"}
+            else:
+                expected, verdicts = TESTS_FAILED, {0: "SURVIVED", TESTS_FAILED: "killed"}
+            verdict = verdicts.get(status, f"BROKEN (pytest exit {status})")
             print(f"{verdict:<10} {mutant['name']}  ({time.perf_counter() - start:.1f} s)", flush=True)
-            if status != TESTS_FAILED:
+            if status != expected:
                 failures.append(mutant["name"])
 
-    print(f"{len(mutants) - len(failures)} of {len(mutants)} mutants killed")
+    equivalents = sum(mutant.get("equivalent", False) for mutant in mutants)
+    print(f"{len(mutants) - len(failures)} of {len(mutants)} mutants killed or, if marked equivalent ({equivalents}), survived")
     return 1 if failures else 0
 
 

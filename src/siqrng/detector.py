@@ -17,9 +17,9 @@ Eh = exp(-mu / 2), the per-pulse rates are
 
 scaled by N q (X, Y) or N (1 - 2q) (Z).  The Monte Carlo sampler below
 checks them without using these exponentials: it draws the counts exactly in
-distribution, stratum by stratum (basis, mixed or pure, photon number), from
-the per-photon-number outcome probabilities, with the Poisson tail beyond
-its largest photon number below 1e-15.
+distribution, one multinomial per group (pure X, mixed X, Y, Z), from the
+per-photon-number outcome probabilities averaged over a Poisson photon
+number whose tail beyond its largest value is below 1e-15.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from .qubit import _check_fraction
 PHOTON_TAIL = 1e-15
 # Cap on the photon-number window, reached near mu0 = 9.5e4.
 MAX_PHOTONS = 100_000
-# Largest mu0 whose sampler tables are kept; its window holds at most 3 918 photon numbers.
-_KEPT_MU0 = 3000.0
 
 
 @dataclass(frozen=True)
@@ -142,40 +140,38 @@ def _photon_pmf(mu0: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _sampler_tables(mu0: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only photon pmf and (4, K, 4) outcome table of mc_sample, K = pmf.size.
+def _sampler_tables(mu0: float, eta: float) -> np.ndarray:
+    """Read-only (4, 4) outcome probabilities per pulse of mc_sample's groups.
 
-    Table rows are the groups pure X, mixed X, Y, Z; columns the photon
-    number; last axis the outcome order of _outcome_probs.  mc_sample keeps
-    the tables of mu0 <= _KEPT_MU0 only, so one entry holds at most 136 bytes
-    per photon number of a 3 918-point window, 0.53 MB, and the 8 entries at
-    most 4.3 MB; a larger mu0 builds through __wrapped__ and keeps nothing.
+    Rows are the groups pure X, mixed X, Y, Z; columns the outcome order of
+    _outcome_probs, averaged over the truncated Poisson photon number.
+    Rounding can leave an entry just above 1 (1.0000000000000002 at
+    mu0 = 100, eta = 1), which Generator.multinomial refuses, so entries
+    are clipped to 1.
     """
     pmf = _photon_pmf(mu0)
     m = np.arange(pmf.size)
-    routed = _outcome_probs(m, eta)
-    table = np.stack([_outcome_probs(m, eta, to_zero=1.0), routed, routed, routed])
-    pmf.flags.writeable = table.flags.writeable = False
-    return pmf, table
+    routed = pmf @ _outcome_probs(m, eta)
+    probs = np.stack([pmf @ _outcome_probs(m, eta, to_zero=1.0), routed, routed, routed]).clip(max=1.0)
+    probs.flags.writeable = False
+    return probs
 
 
 def mc_sample(config: ExperimentConfig, seed: int) -> ClickStats:
     """Monte Carlo click counts; deterministic given (config, seed).
 
-    Pulses are i.i.d., so the counts are drawn per stratum, not per pulse:
-    basis split, mixed X pulses, photon numbers per group, and outcomes per
-    group and photon number.  The work is O(m_max) whatever the pulse count;
-    the tables it draws from are built once per (mu0, eta) in a process.
+    Pulses are i.i.d., so the counts are drawn per group, not per pulse:
+    basis split, mixed X pulses, and one multinomial of each group's
+    outcomes.  The work does not grow with the pulse count; the outcome
+    probabilities are built once per (mu0, eta) in a process, in O(m_max).
     """
     n = int(config.n_pulses)
     if n != config.n_pulses or n > np.iinfo(np.int64).max:
         raise ValueError(f"Monte Carlo sampling needs an integer pulse count below 2**63: {config.n_pulses!r}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    n_x, n_y, n_z = rng.multinomial(n, [config.q, config.q, 1.0 - 2.0 * config.q])
+    n_x, n_y, n_z = rng.multinomial(n, [config.q, config.q, 1.0 - 2.0 * config.q]).tolist()
     n_mixed = rng.binomial(n_x, config.p_mix)
-    tables = _sampler_tables if config.mu0 <= _KEPT_MU0 else _sampler_tables.__wrapped__  # uncached
-    pmf, table = tables(config.mu0, config.eta)
-    photons = rng.multinomial([n_x - n_mixed, n_mixed, n_y, n_z], pmf)
-    outcomes = rng.multinomial(photons, table).sum(axis=1)
-    x, y, z = (BasisCounts(*(int(v) for v in row[:3])) for row in (outcomes[0] + outcomes[1], *outcomes[2:]))
-    return ClickStats(x, y, z, int(n_x), int(n_y), int(n_z))
+    probs = _sampler_tables(config.mu0, config.eta)
+    pure, mixed, y, z = rng.multinomial([n_x - n_mixed, n_mixed, n_y, n_z], probs).tolist()
+    x = BasisCounts(pure[0] + mixed[0], pure[1] + mixed[1], pure[2] + mixed[2])
+    return ClickStats(x, BasisCounts(*y[:3]), BasisCounts(*z[:3]), n_x, n_y, n_z)

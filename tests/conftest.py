@@ -167,8 +167,8 @@ def per_pulse_sample(config, seed: int):
     """Reference Monte Carlo: every pulse drawn on its own, for up to 1e6 pulses.
 
     Basis, photon number, survivors, mixing and 50/50 routing are sampled per
-    pulse, as the optical model describes them; the library's stratified
-    sampler must agree with this in distribution.
+    pulse, as the optical model describes them; the library's sampler, which
+    draws each group's outcomes at once, must agree with this in distribution.
     """
     from siqrng.acquisition import BasisCounts
     from siqrng.detector import ClickStats

@@ -96,7 +96,8 @@ options:
   -h, --help            show this help message and exit
 """
 
-# simulate --mc --N 1e6 --q 0.05 --mu0 1.4 --eta 0.6 --p 0.1 --seed 17, recorded before the sampler kept its tables
+# simulate --mc --N 1e6 --q 0.05 --mu0 1.4 --eta 0.6 --p 0.1 --seed 17; the pulse lines predate the
+# one-multinomial outcome draw and pin the basis split it kept
 GOLDEN_MC_SIMULATE = """\
 command: simulate
 config.N: 1000000
@@ -108,23 +109,23 @@ config.mu: 0.84
 config.source: mc
 config.seed: 17
 pulses.x: 49841
-counts.x.n0: 26548
-counts.x.n1: 1199
-counts.x.nd: 600
-counts.x.total: 28347
-double_fraction.x: 0.021166261
+counts.x.n0: 26692
+counts.x.n1: 1135
+counts.x.nd: 617
+counts.x.total: 28444
+double_fraction.x: 0.0216917452
 pulses.y: 50141
-counts.y.n0: 11354
-counts.y.n1: 11183
-counts.y.nd: 5946
-counts.y.total: 28483
-double_fraction.y: 0.2087561
+counts.y.n0: 11254
+counts.y.n1: 11360
+counts.y.nd: 5888
+counts.y.total: 28502
+double_fraction.y: 0.206581994
 pulses.z: 900018
-counts.z.n0: 203589
-counts.z.n1: 202890
-counts.z.nd: 106005
-counts.z.total: 512484
-double_fraction.z: 0.206845482
+counts.z.n0: 203028
+counts.z.n1: 203407
+counts.z.nd: 105510
+counts.z.total: 511945
+double_fraction.z: 0.206096358
 """
 
 

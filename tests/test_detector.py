@@ -1,7 +1,5 @@
-import gc
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +7,7 @@ import pytest
 from siqrng.acquisition import ClickRecord, EpsilonBudget, certify, format_counts
 from siqrng import detector
 from siqrng.detector import (
-    _KEPT_MU0,
+    MAX_PHOTONS,
     PHOTON_TAIL,
     ExperimentConfig,
     _outcome_probs,
@@ -48,6 +46,11 @@ class TestConfig:
         fields.update(kwargs)
         with pytest.raises(ValueError):
             ExperimentConfig(**fields)
+
+    def test_single_pulse_is_a_run(self):
+        config = ExperimentConfig(n_pulses=1, q=0.05, mu0=1.0, eta=1.0, p_mix=0.1)
+        stats = mc_sample(config, seed=1)
+        assert stats.pulses_x + stats.pulses_y + stats.pulses_z == 1
 
     def test_detected_intensity(self):
         config = ExperimentConfig(n_pulses=1e6, q=0.05, mu0=2.0, eta=0.25, p_mix=0.0)
@@ -210,6 +213,21 @@ class TestPhotonPmf:
         with pytest.raises(ValueError):
             _photon_pmf(1e6)
 
+    def test_window_cap_is_inclusive(self):
+        # the largest mu0 whose window ends at MAX_PHOTONS exactly is sampled, the next float is not
+        def top(mu0):
+            return math.ceil(mu0 + 16.0 * math.sqrt(mu0) + 40.0)
+
+        mu0 = (math.sqrt(64.0 + MAX_PHOTONS - 40.0) - 8.0) ** 2  # the root of mu0 + 16 sqrt(mu0) + 40 = cap
+        while top(mu0) > MAX_PHOTONS:
+            mu0 = math.nextafter(mu0, 0.0)
+        while top(math.nextafter(mu0, math.inf)) <= MAX_PHOTONS:
+            mu0 = math.nextafter(mu0, math.inf)
+        assert top(mu0) == MAX_PHOTONS
+        assert _photon_pmf(mu0).sum() == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError):
+            _photon_pmf(math.nextafter(mu0, math.inf))
+
 
 def two_sample_z(a: int, b: int, n: float) -> float:
     """|a - b| in units of its standard deviation, for two binomial(n, p) counts."""
@@ -246,7 +264,7 @@ class TestMonteCarlo:
         for seed in (1, 2, 3):
             assert_within_5_sigma(config, sampler(config, seed))
 
-    @pytest.mark.parametrize("mu0", [0.5, 3.0])
+    @pytest.mark.parametrize("mu0", [0.5, 3.0, 40.0])
     @pytest.mark.parametrize("p_mix", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("eta", [0.2, 0.7])
     def test_agrees_with_per_pulse_reference(self, eta, p_mix, mu0):
@@ -302,32 +320,37 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             mc_sample(config, seed=0)
 
+    def test_largest_pulse_count(self):
+        config = ExperimentConfig(n_pulses=2**63 - 1, q=0.1, mu0=1.0, eta=1.0, p_mix=0.1)
+        stats = mc_sample(config, seed=0)
+        assert stats.pulses_x + stats.pulses_y + stats.pulses_z == 2**63 - 1
+
     def test_rejects_pulse_count_beyond_int64(self):
         config = ExperimentConfig(n_pulses=1e19, q=0.1, mu0=1.0, eta=1.0, p_mix=0.0)
         with pytest.raises(ValueError):
             mc_sample(config, seed=0)
 
 
-# mc_sample draws recorded before the sampler kept its tables, at q = 0.05:
-# (N, mu0, eta, p_mix, seed, (x, y, z, pulses_x, pulses_y, pulses_z)).  The first twelve rows are
-# the settings of perfbench's mc_certify workload.
+# mc_sample draws at q = 0.05: (N, mu0, eta, p_mix, seed, (x, y, z, pulses_x, pulses_y, pulses_z)).
+# The pulse columns predate the one-multinomial outcome draw and pin the basis split it kept.  The
+# first twelve rows are the settings of perfbench's mc_certify workload.
 GOLDEN_MC = [
-    (250000.0, 0.5, 1.0, 0.1, 3, ((4674, 210, 68), (2067, 2089, 574), (38714, 38632, 10912), 12484, 12340, 225176)),
-    (250000.0, 0.5, 1.0, 0.1, 17, ((4580, 205, 51), (2130, 2239, 573), (38804, 38958, 10852), 12422, 12570, 225008)),
-    (250000.0, 1.4, 1.0, 0.1, 3, ((8792, 296, 294), (3097, 3053, 3101), (56496, 56454, 56912), 12484, 12340, 225176)),
-    (250000.0, 1.4, 1.0, 0.1, 17, ((8793, 298, 307), (3226, 3064, 3206), (56130, 56322, 56797), 12422, 12570, 225008)),
-    (250000.0, 3.0, 1.0, 0.1, 3, ((10949, 188, 712), (2099, 2180, 7459), (38985, 39146, 135835), 12484, 12340, 225176)),
-    (250000.0, 3.0, 1.0, 0.1, 17, ((10852, 209, 749), (2168, 2278, 7470), (38945, 38839, 136055), 12422, 12570, 225008)),
-    (1000000.0, 0.5, 1.0, 0.1, 3, ((18644, 863, 212), (8480, 8477, 2429), (154771, 154897, 43817), 49968, 49677, 900355)),
-    (1000000.0, 0.5, 1.0, 0.1, 17, ((18425, 892, 229), (8689, 8553, 2422), (155656, 154969, 43769), 49841, 50141, 900018)),
-    (1000000.0, 1.4, 1.0, 0.1, 3, ((35175, 1185, 1212), (12595, 12440, 12445), (225636, 224407, 228714), 49968, 49677, 900355)),
-    (1000000.0, 1.4, 1.0, 0.1, 17, ((35120, 1243, 1267), (12389, 12564, 12769), (224961, 224754, 228687), 49841, 50141, 900018)),
-    (1000000.0, 3.0, 1.0, 0.1, 3, ((43655, 827, 2986), (8618, 8450, 30123), (155941, 156096, 543477), 49968, 49677, 900355)),
-    (1000000.0, 3.0, 1.0, 0.1, 17, ((43503, 885, 3003), (8567, 8840, 30174), (155960, 156097, 543276), 49841, 50141, 900018)),
-    (1000000.0, 1.4, 0.6, 0.1, 3, ((26718, 1122, 560), (11262, 11313, 5692), (202728, 203476, 105997), 49968, 49677, 900355)),
-    (1000000.0, 1.4, 0.6, 0.1, 17, ((26548, 1199, 600), (11354, 11183, 5946), (203589, 202890, 106005), 49841, 50141, 900018)),
-    (1000000.0, 1.4, 1.0, 0.0, 3, ((37869, 0, 0), (12346, 12284, 12827), (225155, 225550, 227855), 49968, 49677, 900355)),
-    (1000000.0, 1.4, 1.0, 0.0, 17, ((37549, 0, 0), (12548, 12492, 12744), (225158, 224698, 227987), 49841, 50141, 900018)),
+    (250000.0, 0.5, 1.0, 0.1, 3, ((4654, 195, 63), (2129, 2061, 612), (39010, 38689, 10776), 12484, 12340, 225176)),
+    (250000.0, 0.5, 1.0, 0.1, 17, ((4574, 232, 60), (2193, 2156, 627), (39075, 38593, 10852), 12422, 12570, 225008)),
+    (250000.0, 1.4, 1.0, 0.1, 3, ((8759, 288, 313), (3090, 3012, 3174), (56542, 56146, 57403), 12484, 12340, 225176)),
+    (250000.0, 1.4, 1.0, 0.1, 17, ((8777, 330, 307), (3172, 3128, 3156), (56608, 56015, 57206), 12422, 12570, 225008)),
+    (250000.0, 3.0, 1.0, 0.1, 3, ((10905, 196, 735), (2143, 2074, 7475), (38975, 38637, 136365), 12484, 12340, 225176)),
+    (250000.0, 3.0, 1.0, 0.1, 17, ((10862, 233, 729), (2207, 2170, 7555), (39317, 38834, 135813), 12422, 12570, 225008)),
+    (1000000.0, 0.5, 1.0, 0.1, 3, ((18606, 842, 241), (8425, 8552, 2498), (154989, 154309, 44028), 49968, 49677, 900355)),
+    (1000000.0, 0.5, 1.0, 0.1, 17, ((18412, 868, 265), (8597, 8692, 2448), (155247, 155618, 43860), 49841, 50141, 900018)),
+    (1000000.0, 1.4, 1.0, 0.1, 3, ((35130, 1224, 1236), (12264, 12431, 12565), (224946, 224215, 228833), 49968, 49677, 900355)),
+    (1000000.0, 1.4, 1.0, 0.1, 17, ((35105, 1259, 1228), (12488, 12600, 12705), (225224, 225596, 227867), 49841, 50141, 900018)),
+    (1000000.0, 3.0, 1.0, 0.1, 3, ((43661, 848, 2941), (8477, 8607, 30053), (155955, 155273, 544325), 49968, 49677, 900355)),
+    (1000000.0, 3.0, 1.0, 0.1, 17, ((43517, 874, 2985), (8651, 8746, 30253), (156213, 156585, 542591), 49841, 50141, 900018)),
+    (1000000.0, 1.4, 0.6, 0.1, 3, ((26654, 1103, 577), (11046, 11200, 5955), (202755, 202033, 105973), 49968, 49677, 900355)),
+    (1000000.0, 1.4, 0.6, 0.1, 17, ((26692, 1135, 617), (11254, 11360, 5888), (203028, 203407, 105510), 49841, 50141, 900018)),
+    (1000000.0, 1.4, 1.0, 0.0, 3, ((37869, 0, 0), (12462, 12291, 12628), (225112, 224442, 228638), 49968, 49677, 900355)),
+    (1000000.0, 1.4, 1.0, 0.0, 17, ((37549, 0, 0), (12451, 12490, 12754), (225593, 224606, 227811), 49841, 50141, 900018)),
 ]
 
 
@@ -346,11 +369,39 @@ def stats_pulses(stats):
     return stats.pulses_x, stats.pulses_y, stats.pulses_z
 
 
+def closed_form_rates(mu: float) -> np.ndarray:
+    """Per-pulse (only 0, only 1, both, neither) rates of the groups pure X, mixed X, Y, Z.
+
+    The rates of the detector module's docstring: X at p_mix = 0 and at p_mix = 1, then Y and Z.
+    """
+    e_full, e_half = math.exp(-mu), math.exp(-mu / 2.0)
+    routed = [e_half - e_full, e_half - e_full, 1.0 + e_full - 2.0 * e_half, e_full]
+    return np.array([[1.0 - e_full, 0.0, 0.0, e_full], routed, routed, routed])
+
+
 class TestSamplerTables:
+    @pytest.mark.parametrize("mu0", [1e-3, 0.1, 0.5, 1.4, 3.0, 40.0, 100.0, 3000.0, 9e4])
+    @pytest.mark.parametrize("eta", [0.05, 0.3, 0.6, 1.0])
+    def test_matches_closed_form(self, mu0, eta):
+        # summed from the per-photon-number table, not from the exponentials it checks
+        probs = _sampler_tables(mu0, eta)
+        assert probs.shape == (4, 4)
+        assert np.abs(probs - closed_form_rates(eta * mu0)).max() <= 1e-14
+
+    def test_rounding_above_one_is_clipped(self):
+        # summed unclipped, the pure X row's "only 0" entry is 1.0000000000000002 here,
+        # which Generator.multinomial refuses
+        probs = _sampler_tables(100.0, 1.0)
+        assert probs.max() == 1.0
+        config = ExperimentConfig(n_pulses=1e6, q=0.05, mu0=100.0, eta=1.0, p_mix=0.1)
+        stats = mc_sample(config, seed=1)
+        # exp(-100) of the pulses see no photon, so every pulse clicks
+        assert (stats.x.n, stats.y.n, stats.z.n) == (stats.pulses_x, stats.pulses_y, stats.pulses_z)
+
     def test_tables_are_read_only(self):
-        for array in _sampler_tables(1.4, 1.0):
-            with pytest.raises(ValueError):
-                array[0] = 0.5
+        probs = _sampler_tables(1.4, 1.0)
+        with pytest.raises(ValueError):
+            probs[0, 0] = 0.5
 
     def test_second_call_builds_nothing(self, monkeypatch):
         built = []
@@ -362,33 +413,16 @@ class TestSamplerTables:
         assert mc_sample(config, seed=2) != first
         assert built == [2.2]
 
-    def test_large_mu0_keeps_nothing(self, monkeypatch):
+    def test_largest_mu0_is_kept_small(self, monkeypatch):
         built = []
         monkeypatch.setattr(detector, "_photon_pmf", lambda mu0: built.append(mu0) or _photon_pmf(mu0))
         _sampler_tables.cache_clear()
-        config = ExperimentConfig(n_pulses=1000, q=0.05, mu0=_KEPT_MU0 * 1.01, eta=1.0, p_mix=0.1)
+        config = ExperimentConfig(n_pulses=1000, q=0.05, mu0=9e4, eta=1.0, p_mix=0.1)
         assert mc_sample(config, seed=1) == mc_sample(config, seed=1)
-        assert len(built) == 2 and _sampler_tables.cache_info().currsize == 0
-
-    def test_retained_memory_is_bounded(self):
-        # the worst case of _sampler_tables' docstring: every entry at the largest kept window
-        window = math.ceil(_KEPT_MU0 + 16.0 * math.sqrt(_KEPT_MU0) + 40.0) + 1
-        worst = _sampler_tables.cache_info().maxsize * 136 * window
-        assert worst <= 16e6
-        mu0s = [*np.geomspace(1e-3, 100.0, 8), *np.linspace(2000.0, _KEPT_MU0, 16), *np.geomspace(4e3, 9e4, 6)]
-        _sampler_tables.cache_clear()
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for mu0 in mu0s:
-                mc_sample(ExperimentConfig(n_pulses=1000, q=0.05, mu0=float(mu0), eta=0.9, p_mix=0.1), seed=1)
-            gc.collect()
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert len(set(mu0s)) >= 20
-        assert 0 < retained <= worst + 65536
+        kept = [_sampler_tables(mu0, eta) for mu0, eta in ((9e4, 1.0), (1e-3, 0.9), (1.4, 0.9), (3000.0, 0.9))]
+        assert built == [9e4, 1e-3, 1.4, 3000.0] and _sampler_tables.cache_info().currsize == 4
+        for probs in kept:
+            assert (probs.shape, probs.dtype, probs.flags.writeable) == ((4, 4), np.float64, False)
 
 
 class TestSimulatedWorstProbs:
