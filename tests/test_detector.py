@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -423,6 +425,26 @@ class TestSamplerTables:
         assert built == [9e4, 1e-3, 1.4, 3000.0] and _sampler_tables.cache_info().currsize == 4
         for probs in kept:
             assert (probs.shape, probs.dtype, probs.flags.writeable) == ((4, 4), np.float64, False)
+
+    def test_retained_memory_is_bounded(self):
+        # an entry is a (4, 4) float64 array with its header and key; 1 KB each is the bound
+        worst = _sampler_tables.cache_info().maxsize * 1024
+        mu0s = [*np.geomspace(1e-3, 100.0, 8), *np.linspace(2000.0, 3000.0, 16), *np.geomspace(4e3, 9e4, 6)]
+        # a first draw makes numpy's one-off allocations, which are not the cache's
+        mc_sample(ExperimentConfig(n_pulses=1000, q=0.05, mu0=1.0, eta=0.5, p_mix=0.1), seed=1)
+        _sampler_tables.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for mu0 in mu0s:
+                mc_sample(ExperimentConfig(n_pulses=1000, q=0.05, mu0=float(mu0), eta=0.9, p_mix=0.1), seed=1)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(set(mu0s)) >= 20
+        assert 0 < retained <= worst + 65536
 
 
 class TestSimulatedWorstProbs:
