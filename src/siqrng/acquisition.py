@@ -25,8 +25,8 @@ coherence on the matching float or array backend.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -101,13 +101,16 @@ class EpsilonBudget:
     eps_z: float
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            _check_epsilon(getattr(self, field.name), field.name)
+        for name in _BUDGET_FIELDS:
+            _check_epsilon(getattr(self, name), name)
         total_epsilon(self)
 
     @classmethod
     def uniform(cls, value: float = DEFAULT_EPSILON) -> "EpsilonBudget":
         return cls(value, value, value, value, value)
+
+
+_BUDGET_FIELDS = tuple(f.name for f in fields(EpsilonBudget))  # taken once, not reflected on per certificate
 
 
 def total_epsilon(budget: EpsilonBudget) -> float:
@@ -312,10 +315,17 @@ def format_counts(record: ClickRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_counts(path: str | Path) -> ClickRecord:
-    """The counts document at path, read in one bytes read and decoded as UTF-8 (a leading BOM is dropped)."""
-    return parse_counts(Path(path).read_bytes().decode("utf-8-sig"))
+def _read_file(path: str | os.PathLike) -> bytes:
+    """The file at path in one unbuffered read, with no pathlib object; an int path is refused, not read as a descriptor."""
+    with open(os.fspath(path), "rb", buffering=0) as f:
+        return f.readall()
 
 
-def write_counts(path: str | Path, record: ClickRecord) -> None:
-    Path(path).write_text(format_counts(record))
+def read_counts(path: str | os.PathLike) -> ClickRecord:
+    """The counts document at path, in one unbuffered read, decoded as UTF-8 (a leading BOM is dropped)."""
+    return parse_counts(_read_file(path).decode("utf-8-sig"))
+
+
+def write_counts(path: str | os.PathLike, record: ClickRecord) -> None:
+    with open(path, "w") as f:
+        f.write(format_counts(record))

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import math
@@ -39,6 +38,7 @@ from .acquisition import (
     BasisCounts,
     ClickRecord,
     EpsilonBudget,
+    _BUDGET_FIELDS,
     _read_count_rows,
     certify,
     finite_size_floor,
@@ -129,11 +129,11 @@ def _save_csv(path: str, header: list[str], columns: Sequence[Sequence[object]])
 
 
 def _budget_from_args(args) -> EpsilonBudget:
-    return EpsilonBudget(**{f.name: getattr(args, f.name) for f in dataclasses.fields(EpsilonBudget)})
+    return EpsilonBudget(**{name: getattr(args, name) for name in _BUDGET_FIELDS})
 
 
 def _echo_budget(budget: EpsilonBudget) -> list[tuple[str, object]]:
-    return [(f"config.{f.name}", getattr(budget, f.name)) for f in dataclasses.fields(budget)]
+    return [(f"config.{name}", getattr(budget, name)) for name in _BUDGET_FIELDS]
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -202,8 +202,8 @@ def _expand_config_args(argv: list[str]) -> tuple[list[str], dict]:
 
 
 def _add_epsilon_args(parser) -> None:
-    for f in dataclasses.fields(EpsilonBudget):
-        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=float, default=DEFAULT_EPSILON)
+    for name in _BUDGET_FIELDS:
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=float, default=DEFAULT_EPSILON)
 
 
 def _add_source_args(parser) -> None:

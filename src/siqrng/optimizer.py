@@ -121,7 +121,9 @@ def optimize(
     step_mu = float(np.min(np.diff(mu_axis))) if mu_axis.size > 1 else float(mu_axis[0]) / 2.0
     step_q = float(np.min(np.diff(q_axis))) if q_axis.size > 1 else float(q_axis[0]) / 2.0
 
-    pieces = []
+    # rows (mu, q, rate), mu-major; from level 24 on a step is under half an ulp of the box, so 32 levels suffice
+    trace = np.empty((mu_axis.size * q_axis.size + min(refine_levels, 32) * REFINE_POINTS**2, 3))
+    filled = 0
     candidates = []  # (-rate, mu, q) of each surface's best cell; min is the optimum
     for level in range(refine_levels + 1):
         if level:
@@ -133,9 +135,9 @@ def optimize(
             step_mu /= 10.0
             step_q /= 10.0
         surface = rate_surface(n_pulses, p_mix, mu_axis, q_axis, budget, policy)
-        piece = np.empty((mu_axis.size, q_axis.size, 3))  # rows (mu, q, rate), mu-major
+        piece = trace[filled : filled + surface.size].reshape(*surface.shape, 3)
         piece[..., 0], piece[..., 1], piece[..., 2] = mu_axis[:, None], q_axis, surface
-        pieces.append(piece.reshape(-1, 3))
+        filled += surface.size
         # first argmax in mu-major order = smallest mu, then smallest q, among ties
         i, j = divmod(int(np.argmax(surface)), q_axis.size)
         candidates.append((-float(surface[i, j]), float(mu_axis[i]), float(q_axis[j])))
@@ -147,5 +149,5 @@ def optimize(
         q_opt=best_q if positive else math.nan,
         rate_opt=-neg_rate,
         positive=positive,
-        trace=np.vstack(pieces),
+        trace=trace[:filled],
     )

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siqrng import acquisition
 from siqrng.acquisition import (
     POLICIES,
     STATUSES,
@@ -524,6 +525,16 @@ class TestEpsilonBudget:
     def test_zero_component_rejected(self):
         with pytest.raises(ValueError):
             EpsilonBudget(0.0, 0.1, 0.1, 0.1, 0.1)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(EpsilonBudget)])
+    def test_each_component_is_checked(self, name):
+        values = {f.name: 0.0 if f.name == name else 0.1 for f in dataclasses.fields(EpsilonBudget)}
+        with pytest.raises(ValueError, match=f"^{name} must lie strictly in"):
+            EpsilonBudget(**values)
+
+    def test_field_names_are_the_dataclass_fields(self):
+        # taken once at import, so a field added to EpsilonBudget must show up here, in order
+        assert acquisition._BUDGET_FIELDS == tuple(f.name for f in dataclasses.fields(EpsilonBudget))
 
     def test_overbudget_rejected(self):
         with pytest.raises(ValueError):

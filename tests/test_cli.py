@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import siqrng
-from siqrng import cli, optimizer
+from siqrng import acquisition, cli, extractor, optimizer
 from siqrng.acquisition import DEFAULT_EPSILON, POLICIES, EpsilonBudget, parse_counts, read_counts
 from siqrng.cli import _CSV_CHUNK_ROWS, CliError, _emit, _fmt, _parse_grid, _shared_parser, _write_csv, build_parser, main
 from siqrng.extractor import BIT_FORMATS, parse_bit_string, read_bits
@@ -1318,8 +1318,101 @@ BOM_DOCUMENTS = {
 }
 
 
+def pathlib_read(path) -> bytes:
+    """A file read through a pathlib object, as the readers once did; pathlib drops './' and a trailing '/'."""
+    return Path(path).read_bytes()
+
+
+class FsPath:
+    """An os.PathLike that is neither a str nor a pathlib object."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __fspath__(self) -> str:
+        return self.path
+
+
+# argv of each file read on the certify -> extract chain, F for the path under test; BITS and PACKED are readable
+CHAIN_READS = {
+    "counts": ["rate", "--counts", "F", "--N", "12000"],
+    "input-ascii": ["extract", "--input", "F", "--seed-file", "BITS", "--m", "1"],
+    "seed-ascii": ["extract", "--input", "BITS", "--seed-file", "F", "--m", "1"],
+    "input-packed": ["extract", "--format", "packed", "--input", "F", "--seed-file", "PACKED", "--n", "8", "--m", "1"],
+    "seed-packed": ["extract", "--format", "packed", "--input", "PACKED", "--seed-file", "F", "--n", "8", "--m", "1"],
+}
+
+
+def chain_argv(tmp_path, argv, path) -> list[str]:
+    (tmp_path / "bits").write_bytes(b"01101001\n")
+    (tmp_path / "packed").write_bytes(b"\xb5")
+    names = {"F": str(path), "BITS": str(tmp_path / "bits"), "PACKED": str(tmp_path / "packed")}
+    return [names.get(arg, arg) for arg in argv]
+
+
 class TestReadPaths:
     """read_counts and read_bits read bytes; the oracles decode the file as UTF-8 text (BOM dropped) and parse that."""
+
+    @pytest.mark.parametrize("kind", [str, Path, FsPath])
+    def test_path_kinds(self, tmp_path, kind):
+        (tmp_path / "counts").write_text(COUNTS_TEXT)
+        (tmp_path / "bits").write_bytes(b"0110\n1001\n")
+        (tmp_path / "packed").write_bytes(b"\x69")
+        assert read_counts(kind(tmp_path / "counts")) == parse_counts(COUNTS_TEXT)
+        assert read_bits(kind(tmp_path / "bits")).tolist() == [0, 1, 1, 0, 1, 0, 0, 1]
+        assert read_bits(kind(tmp_path / "packed"), "packed", 8).tolist() == [0, 1, 1, 0, 1, 0, 0, 1]
+
+    @pytest.mark.parametrize("fmt", BIT_FORMATS + ("counts",))
+    def test_int_path_is_refused(self, tmp_path, fmt):
+        # an int is refused as pathlib refused it, not read as an open file descriptor
+        (tmp_path / "file").write_text(COUNTS_TEXT)
+        fd = os.open(tmp_path / "file", os.O_RDONLY)
+        try:
+            with pytest.raises(TypeError, match="^expected str, bytes or os.PathLike object, not int$"):
+                read_counts(fd) if fmt == "counts" else read_bits(fd, fmt, 8)
+        finally:
+            with contextlib.suppress(OSError):
+                os.close(fd)
+
+    @pytest.mark.parametrize("bom", [b"", BOM], ids=["plain", "bom"])
+    def test_large_bit_file_is_read_whole(self, tmp_path, bom):
+        bits = np.random.default_rng(72).integers(0, 2, 3 * 2**20, dtype=np.uint8)
+        lines = (bits + ord("0")).reshape(-1, 1024)
+        path = tmp_path / "bits"
+        path.write_bytes(bom + np.hstack([lines, np.full((lines.shape[0], 1), ord("\n"), np.uint8)]).tobytes())
+        assert path.stat().st_size > 3_000_000
+        assert np.array_equal(read_bits(path), bits)
+
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    @pytest.mark.parametrize("argv", CHAIN_READS.values(), ids=CHAIN_READS.keys())
+    def test_unreadable_file_reports_as_through_pathlib(self, capsys, monkeypatch, tmp_path, argv, target):
+        path = tmp_path / "missing" if target == "missing" else tmp_path
+        argv = chain_argv(tmp_path, argv, path)
+        got = run(capsys, argv)
+        reason = "[Errno 2] No such file or directory" if target == "missing" else "[Errno 21] Is a directory"
+        stage = "reading counts" if argv[0] == "rate" else "reading bits"
+        assert got == (2, "", f"error[{stage}]: {reason}: {str(path)!r}\n")
+        monkeypatch.setattr(acquisition, "_read_file", pathlib_read)
+        monkeypatch.setattr(extractor, "_read_file", pathlib_read)
+        assert run(capsys, argv) == got
+
+    @pytest.mark.parametrize("argv", list(CHAIN_READS.values())[1:], ids=list(CHAIN_READS)[1:])
+    def test_empty_path_names_no_file(self, capsys, tmp_path, argv):
+        # pathlib read '' as '.', the working directory ("[Errno 21] Is a directory: '.'"); rate refuses an
+        # empty --counts before reading it
+        expected = "error[reading bits]: [Errno 2] No such file or directory: ''\n"
+        assert run(capsys, chain_argv(tmp_path, argv, "")) == (2, "", expected)
+
+    def test_path_goes_to_the_system_as_given(self, capsys, monkeypatch, tmp_path):
+        # pathlib dropped './' and a trailing '/' before opening; a trailing '/' now names a directory, as in POSIX
+        monkeypatch.chdir(tmp_path)
+        argv = chain_argv(tmp_path, CHAIN_READS["counts"], "./missing")
+        assert run(capsys, argv)[2] == "error[reading counts]: [Errno 2] No such file or directory: './missing'\n"
+        argv = chain_argv(tmp_path, CHAIN_READS["input-ascii"], "bits/")
+        assert run(capsys, argv)[2] == "error[reading bits]: [Errno 20] Not a directory: 'bits/'\n"
+        argv = chain_argv(tmp_path, CHAIN_READS["input-ascii"], "bits") + ["--out", "out/"]
+        assert run(capsys, argv) == (2, "", "error[writing output]: [Errno 21] Is a directory: 'out/'\n")
+        assert not Path("out").exists()
 
     @pytest.mark.parametrize("data, argv", BOM_DOCUMENTS.values(), ids=BOM_DOCUMENTS.keys())
     def test_byte_order_mark_is_accepted(self, capsys, tmp_path, data, argv):

@@ -696,6 +696,16 @@ class TestColumnSplit:
         result = run_python("import sys, siqrng.cli; print([m for m in ('queue', 'mmap', 'concurrent.futures') if m in sys.modules])")
         assert result.stdout == "[]\n", result.stderr
 
+    def test_helper_is_a_daemon(self):
+        # the interpreter waits at exit for every thread that is not a daemon, and the helper never returns;
+        # a helper of its own is ended here, so a failing check does not hold up the test run's exit
+        before = set(threading.enumerate())
+        helper = extractor._Helper()
+        (thread,) = set(threading.enumerate()) - before
+        helper._tasks.put(None)
+        thread.join(timeout=10)
+        assert is_helper(thread) and thread.daemon
+
     @pytest.mark.parametrize("helper", ["started early", "started late"])
     def test_hashes_after_the_main_thread_returns(self, helper):
         # a thread still hashing after the main thread has returned, then an atexit handler: by then
