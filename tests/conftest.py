@@ -59,15 +59,72 @@ def double_click_prob(m: int, eta: float, basis: str, p_mix: float = 0.0) -> flo
     In the Y and Z arms every photon routes 50/50, giving
     1 + (1 - eta)^m - 2 (1 - eta/2)^m.  In the X arm only the mixed
     component routes, so the same expression is weighted by p_mix.  The
-    library builds its per-photon-number outcome table another way
-    (`detector._outcome_probs`), which this checks.  eta and p_mix go
-    through the library's [0, 1] check, so a bad fraction cannot reach a
-    comparison.
+    photon-number oracle below builds its outcome table another way
+    (`outcome_probs`), which this checks.  eta and p_mix go through the
+    library's [0, 1] check, so a bad fraction cannot reach a comparison.
     """
     _check_fraction(eta, "eta")
     _check_fraction(p_mix, "p_mix")
     routed = 1.0 + (1.0 - eta) ** m - 2.0 * (1.0 - eta / 2.0) ** m
     return p_mix * routed if basis == "x" else routed
+
+
+# The photon-number oracle of the Monte Carlo sampler's rates: outcome probabilities
+# per photon number, averaged over a truncated Poisson photon number.  The library
+# draws from the closed form, which this derives independently of its exponentials.
+
+# Poisson mass beyond the largest photon number summed over (lumped into it).
+PHOTON_TAIL = 1e-15
+# Cap on the photon-number window, reached near mu0 = 9.5e4.
+MAX_PHOTONS = 100_000
+
+
+def outcome_probs(m, eta: float, to_zero: float = 0.5) -> np.ndarray:
+    """Probabilities of (only 0, only 1, both, neither) clicking for m photons.
+
+    Each photon survives with probability eta and then reaches detector 0
+    with probability to_zero: 1/2 where it routes 50/50, 1 for pure X.
+    """
+    m = np.asarray(m, dtype=float)
+    none = (1.0 - eta) ** m
+    only0 = (1.0 - eta * (1.0 - to_zero)) ** m - none
+    only1 = (1.0 - eta * to_zero) ** m - none
+    both = np.maximum(1.0 - none - only0 - only1, 0.0)
+    return np.stack([only0, only1, both, none], axis=-1)
+
+
+def photon_pmf(mu0: float) -> np.ndarray:
+    """Poisson(mu0) probabilities of 0..m_max photons, the tail lumped into m_max.
+
+    m_max is the smallest photon number with P(m > m_max) < PHOTON_TAIL.  The
+    pmf is computed in log space over a window with a negligible tail, and
+    the tail is summed smallest term first, so that 1e-15 is well resolved.
+    """
+    top = math.ceil(mu0 + 16.0 * math.sqrt(mu0) + 40.0)
+    if top > MAX_PHOTONS:
+        raise ValueError(f"mu0 too large for photon-number sampling: {mu0!r}")
+    m = np.arange(top + 1)
+    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(m[1:]))))
+    pmf = np.exp(m * math.log(mu0) - mu0 - log_factorial)
+    pmf /= pmf.sum()  # rounding in the logs, not the window, sets the sum apart from 1
+    assert pmf[-1] < 1e-6 * PHOTON_TAIL, "photon window shorter than the tail bound needs"
+    tail = np.append(np.cumsum(pmf[:0:-1])[::-1], 0.0)  # tail[k] = P(k < m <= top)
+    m_max = int(np.argmax(tail < PHOTON_TAIL))
+    pmf = pmf[: m_max + 1]
+    pmf[m_max] += tail[m_max]
+    return pmf
+
+
+def photon_averaged_probs(mu0: float, eta: float) -> np.ndarray:
+    """(4, 4) outcome probabilities per pulse of the groups pure X, mixed X, Y, Z.
+
+    Columns are in the order of outcome_probs, averaged over the truncated
+    Poisson photon number.
+    """
+    pmf = photon_pmf(mu0)
+    m = np.arange(pmf.size)
+    routed = pmf @ outcome_probs(m, eta)
+    return np.stack([pmf @ outcome_probs(m, eta, to_zero=1.0), routed, routed, routed])
 
 
 def von_neumann_entropy(tomogram) -> float:

@@ -21,6 +21,7 @@ import siqrng
 from siqrng import acquisition, cli, extractor, optimizer
 from siqrng.acquisition import DEFAULT_EPSILON, POLICIES, EpsilonBudget, parse_counts, read_counts
 from siqrng.cli import _CSV_CHUNK_ROWS, CliError, _emit, _fmt, _parse_grid, _shared_parser, _write_csv, build_parser, main
+from siqrng.detector import ExperimentConfig, analytic_click_stats
 from siqrng.extractor import BIT_FORMATS, parse_bit_string, read_bits
 from siqrng.optimizer import optimize
 
@@ -370,11 +371,32 @@ class TestRate:
         assert parse_doc(out)["status"] == "ok"
         assert elapsed < 1.0
 
-    def test_oversized_photon_window_fails(self, capsys):
-        argv = ["rate", "--simulate", "--mc", "--N", "1e6", "--q", "0.01", "--mu0", "1e6"]
+    def test_large_mu0_is_simulated(self, capsys):
+        # the sampler once summed over photon numbers and refused mu0 above about 9.5e4
+        flags = ["--mc", "--seed", "5", "--N", "1e6", "--q", "0.01", "--mu0", "2e5", "--p", "0.1"]
+        rc, out, err = run(capsys, ["rate", "--simulate", *flags])
+        assert (rc, err) == (0, "")
+        assert parse_doc(out)["status"] == "no positive rate"
+        rc, out, err = run(capsys, ["simulate", *flags])
+        assert (rc, err) == (0, "")
+        doc = parse_doc(out)
+        expected = analytic_click_stats(ExperimentConfig(n_pulses=1e6, q=0.01, mu0=2e5, eta=1.0, p_mix=0.1))
+        for name in ("x", "y", "z"):
+            for field in ("n0", "n1", "nd"):
+                mean = getattr(getattr(expected, name), field)
+                sigma = math.sqrt(mean * (1.0 - mean / 1e6))
+                assert abs(int(doc[f"counts.{name}.{field}"]) - mean) <= 5.0 * max(sigma, 1.0), (name, field)
+
+    @pytest.mark.parametrize("mc", [[], ["--mc"]], ids=["analytic", "mc"])
+    def test_tiny_mu0_fails_at_the_rate(self, capsys, mc):
+        # the doubles, once 1 + E - 2 Eh, rounded to -1.1e-11 here and failed the simulation
+        argv = ["rate", "--simulate", *mc, "--N", "1e6", "--q", "0.05", "--mu0", "1.0003984502978545e-12"]
         rc, out, err = run(capsys, argv)
         assert rc == 2 and out == ""
-        assert err.startswith("error[simulation]")
+        if mc:
+            assert err == "error[squashing]: no clicks in basis x\n"
+        else:
+            assert err.startswith("error[rate assembly]: finite-size bound invalid: n_z = 9.00")
 
     @pytest.mark.parametrize(
         "argv",
@@ -877,7 +899,7 @@ class TestStages:
             ("config", ["rate", "--config", "LIST"]),
             ("configuration", ["rate", "--N", "1000"]),
             ("configuration", ["rate", "--simulate", "--N", "1e6", "--q", "0.05"]),
-            ("simulation", ["rate", "--simulate", "--mc", "--N", "1e6", "--q", "0.01", "--mu0", "1e6"]),
+            ("simulation", ["rate", "--simulate", "--mc", "--N", "1000.5", "--q", "0.01", "--mu0", "1"]),
             ("optimization", ["optimize", "--N", "1e8", "--refine-levels", "-1"]),
             ("optimization", ["optimize", "--N", "nan"]),
             ("reading bits", ["extract", "--input", "RAW", "--seed-file", "SEED", "--n", "2", "--m", "1"]),
@@ -886,7 +908,7 @@ class TestStages:
         ],
         ids=[
             "rate-out", "simulate-out", "compare-out", "optimize-trace-out", "extract-out", "config-missing",
-            "config-not-object", "rate-no-source", "simulate-no-mu0", "mc-photon-window", "negative-refine-levels",
+            "config-not-object", "rate-no-source", "simulate-no-mu0", "mc-fractional-pulses", "negative-refine-levels",
             "nan-pulses", "extract-wrong-n", "packed-without-n", "extract-m-above-n",
         ],
     )

@@ -1,25 +1,23 @@
-import gc
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from siqrng.acquisition import ClickRecord, EpsilonBudget, certify, format_counts
-from siqrng import detector
-from siqrng.detector import (
+from siqrng.detector import ExperimentConfig, _arm_rates, analytic_click_stats, mc_sample
+
+from conftest import (
     MAX_PHOTONS,
     PHOTON_TAIL,
-    ExperimentConfig,
-    _outcome_probs,
-    _photon_pmf,
-    _sampler_tables,
-    analytic_click_stats,
-    mc_sample,
+    double_click_prob,
+    outcome_probs,
+    per_pulse_sample,
+    photon_averaged_probs,
+    photon_pmf,
 )
-
-from conftest import double_click_prob, per_pulse_sample
 
 BASE = ExperimentConfig(n_pulses=1e6, q=0.05, mu0=1.0, eta=1.0, p_mix=0.1)
 
@@ -104,6 +102,24 @@ class TestAnalytic:
         stats = analytic_click_stats(config)
         assert stats.z.nd / stats.z.n < 1e-5
 
+    @pytest.mark.parametrize("exp", [math.exp, np.exp], ids=["math", "numpy"])
+    @given(mu=st.floats(min_value=0.0, max_value=1e6) | st.floats(min_value=0.0, max_value=1e-7))
+    @example(mu=1.0003984502978545e-12)
+    def test_rates_are_a_distribution(self, exp, mu):
+        # 1 + E - 2 Eh, the doubles by cancellation, rounds below zero for many mu below 1.5e-8
+        click, single, double, dark = (float(v) for v in _arm_rates(np.array(mu) if exp is np.exp else mu, exp))
+        for rate in (click, single, double, dark):
+            assert 0.0 <= rate <= 1.0
+        assert abs(click + dark - 1.0) <= 2.0 * np.finfo(float).eps
+        assert abs(2.0 * single + double + dark - 1.0) <= 4.0 * np.finfo(float).eps
+
+    def test_doubles_keep_their_digits_at_small_intensity(self):
+        # the double rate (1 - Eh)^2 is mu^2 / 4 to leading order; 1 - Eh keeps about four digits at 1e-12
+        for mu in (1e-12, 1e-10, 1e-8, 1e-5):
+            _, single, double, _ = _arm_rates(mu)
+            assert double == pytest.approx(mu * mu / 4.0, rel=1e-3, abs=0.0)
+            assert single == pytest.approx(mu / 2.0, rel=1e-3, abs=0.0)
+
 
 def enumerated_double_click_prob(m: int, eta: float, basis: str, p_mix: float) -> float:
     """Exhaustive sum over all survival patterns and 50/50 routings."""
@@ -176,9 +192,9 @@ def assert_within_5_sigma(config: ExperimentConfig, sampled) -> None:
 class TestOutcomeTable:
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 0.9, 1.0])
     def test_matches_double_click_prob(self, eta):
-        m = np.arange(_photon_pmf(50.0).size)
-        routed = _outcome_probs(m, eta)
-        pure = _outcome_probs(m, eta, to_zero=1.0)
+        m = np.arange(photon_pmf(50.0).size)
+        routed = outcome_probs(m, eta)
+        pure = outcome_probs(m, eta, to_zero=1.0)
         for k in m:
             assert routed[k, 2] == pytest.approx(double_click_prob(int(k), eta, "z"), abs=1e-15)
             assert routed[k, 2] == pytest.approx(double_click_prob(int(k), eta, "x", 1.0), abs=1e-15)
@@ -195,14 +211,14 @@ class TestOutcomeTable:
             for eta in (0.0, 0.3, 0.5, 1.0):
                 for routed in (True, False):
                     expected = enumerated_outcomes(m, eta, routed)
-                    got = _outcome_probs(m, eta, 0.5 if routed else 1.0)
+                    got = outcome_probs(m, eta, 0.5 if routed else 1.0)
                     assert got == pytest.approx(expected, abs=1e-12), (m, eta, routed)
 
 
 class TestPhotonPmf:
     @pytest.mark.parametrize("mu0", [1e-6, 0.5, 3.0, 50.0])
     def test_tail_bound(self, mu0):
-        pmf = _photon_pmf(mu0)
+        pmf = photon_pmf(mu0)
         m_max = pmf.size - 1
         # the smallest truncation whose tail is below the bound
         assert poisson_tail(mu0, m_max) < PHOTON_TAIL
@@ -213,7 +229,7 @@ class TestPhotonPmf:
 
     def test_window_cap(self):
         with pytest.raises(ValueError):
-            _photon_pmf(1e6)
+            photon_pmf(1e6)
 
     def test_window_cap_is_inclusive(self):
         # the largest mu0 whose window ends at MAX_PHOTONS exactly is sampled, the next float is not
@@ -226,9 +242,9 @@ class TestPhotonPmf:
         while top(math.nextafter(mu0, math.inf)) <= MAX_PHOTONS:
             mu0 = math.nextafter(mu0, math.inf)
         assert top(mu0) == MAX_PHOTONS
-        assert _photon_pmf(mu0).sum() == pytest.approx(1.0, abs=1e-12)
+        assert photon_pmf(mu0).sum() == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError):
-            _photon_pmf(math.nextafter(mu0, math.inf))
+            photon_pmf(math.nextafter(mu0, math.inf))
 
 
 def two_sample_z(a: int, b: int, n: float) -> float:
@@ -332,6 +348,12 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             mc_sample(config, seed=0)
 
+    def test_every_pulse_clicks_at_high_intensity(self):
+        config = ExperimentConfig(n_pulses=1e6, q=0.05, mu0=100.0, eta=1.0, p_mix=0.1)
+        stats = mc_sample(config, seed=1)
+        # exp(-100) of the pulses see no photon, so every pulse clicks
+        assert (stats.x.n, stats.y.n, stats.z.n) == (stats.pulses_x, stats.pulses_y, stats.pulses_z)
+
 
 # mc_sample draws at q = 0.05: (N, mu0, eta, p_mix, seed, (x, y, z, pulses_x, pulses_y, pulses_z)).
 # The pulse columns predate the one-multinomial outcome draw and pin the basis split it kept.  The
@@ -360,91 +382,41 @@ class TestGoldenStream:
     @pytest.mark.parametrize("n_pulses, mu0, eta, p_mix, seed, expected", GOLDEN_MC)
     def test_counts_are_the_recorded_stream(self, n_pulses, mu0, eta, p_mix, seed, expected):
         config = ExperimentConfig(n_pulses=n_pulses, q=0.05, mu0=mu0, eta=eta, p_mix=p_mix)
-        _sampler_tables.cache_clear()
-        for hits in (0, 1):  # the first call builds the tables, the second reuses them
-            stats = mc_sample(config, seed)
-            assert (tuple(stats.x), tuple(stats.y), tuple(stats.z), *stats_pulses(stats)) == expected
-            assert _sampler_tables.cache_info()[:2] == (hits, 1)
+        stats = mc_sample(config, seed)
+        assert (tuple(stats.x), tuple(stats.y), tuple(stats.z), *stats_pulses(stats)) == expected
 
 
 def stats_pulses(stats):
     return stats.pulses_x, stats.pulses_y, stats.pulses_z
 
 
-def closed_form_rates(mu: float) -> np.ndarray:
-    """Per-pulse (only 0, only 1, both, neither) rates of the groups pure X, mixed X, Y, Z.
+@pytest.fixture
+def drawn_probs(monkeypatch):
+    """Call with a config to get the (4, 4) outcome probabilities mc_sample's group multinomial draws from."""
+    seen = []
 
-    The rates of the detector module's docstring: X at p_mix = 0 and at p_mix = 1, then Y and Z.
-    """
-    e_full, e_half = math.exp(-mu), math.exp(-mu / 2.0)
-    routed = [e_half - e_full, e_half - e_full, 1.0 + e_full - 2.0 * e_half, e_full]
-    return np.array([[1.0 - e_full, 0.0, 0.0, e_full], routed, routed, routed])
+    class Recording(np.random.Generator):
+        def multinomial(self, n, pvals, size=None):
+            seen.append(np.array(pvals, dtype=float))
+            return super().multinomial(n, pvals, size)
+
+    def probe(config: ExperimentConfig) -> np.ndarray:
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "Generator", Recording)
+            mc_sample(config, seed=0)
+        return seen[-1]
+
+    return probe
 
 
 class TestSamplerTables:
     @pytest.mark.parametrize("mu0", [1e-3, 0.1, 0.5, 1.4, 3.0, 40.0, 100.0, 3000.0, 9e4])
     @pytest.mark.parametrize("eta", [0.05, 0.3, 0.6, 1.0])
-    def test_matches_closed_form(self, mu0, eta):
-        # summed from the per-photon-number table, not from the exponentials it checks
-        probs = _sampler_tables(mu0, eta)
+    def test_matches_closed_form(self, drawn_probs, mu0, eta):
+        # the oracle sums per-photon-number outcomes, not the exponentials mc_sample draws from
+        probs = drawn_probs(ExperimentConfig(n_pulses=1000, q=0.05, mu0=mu0, eta=eta, p_mix=0.1))
         assert probs.shape == (4, 4)
-        assert np.abs(probs - closed_form_rates(eta * mu0)).max() <= 1e-14
-
-    def test_rounding_above_one_is_clipped(self):
-        # summed unclipped, the pure X row's "only 0" entry is 1.0000000000000002 here,
-        # which Generator.multinomial refuses
-        probs = _sampler_tables(100.0, 1.0)
-        assert probs.max() == 1.0
-        config = ExperimentConfig(n_pulses=1e6, q=0.05, mu0=100.0, eta=1.0, p_mix=0.1)
-        stats = mc_sample(config, seed=1)
-        # exp(-100) of the pulses see no photon, so every pulse clicks
-        assert (stats.x.n, stats.y.n, stats.z.n) == (stats.pulses_x, stats.pulses_y, stats.pulses_z)
-
-    def test_tables_are_read_only(self):
-        probs = _sampler_tables(1.4, 1.0)
-        with pytest.raises(ValueError):
-            probs[0, 0] = 0.5
-
-    def test_second_call_builds_nothing(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(detector, "_photon_pmf", lambda mu0: built.append(mu0) or _photon_pmf(mu0))
-        _sampler_tables.cache_clear()
-        config = ExperimentConfig(n_pulses=1e6, q=0.05, mu0=2.2, eta=0.8, p_mix=0.1)
-        first = mc_sample(config, seed=1)
-        assert mc_sample(config, seed=1) == first
-        assert mc_sample(config, seed=2) != first
-        assert built == [2.2]
-
-    def test_largest_mu0_is_kept_small(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(detector, "_photon_pmf", lambda mu0: built.append(mu0) or _photon_pmf(mu0))
-        _sampler_tables.cache_clear()
-        config = ExperimentConfig(n_pulses=1000, q=0.05, mu0=9e4, eta=1.0, p_mix=0.1)
-        assert mc_sample(config, seed=1) == mc_sample(config, seed=1)
-        kept = [_sampler_tables(mu0, eta) for mu0, eta in ((9e4, 1.0), (1e-3, 0.9), (1.4, 0.9), (3000.0, 0.9))]
-        assert built == [9e4, 1e-3, 1.4, 3000.0] and _sampler_tables.cache_info().currsize == 4
-        for probs in kept:
-            assert (probs.shape, probs.dtype, probs.flags.writeable) == ((4, 4), np.float64, False)
-
-    def test_retained_memory_is_bounded(self):
-        # an entry is a (4, 4) float64 array with its header and key; 1 KB each is the bound
-        worst = _sampler_tables.cache_info().maxsize * 1024
-        mu0s = [*np.geomspace(1e-3, 100.0, 8), *np.linspace(2000.0, 3000.0, 16), *np.geomspace(4e3, 9e4, 6)]
-        # a first draw makes numpy's one-off allocations, which are not the cache's
-        mc_sample(ExperimentConfig(n_pulses=1000, q=0.05, mu0=1.0, eta=0.5, p_mix=0.1), seed=1)
-        _sampler_tables.cache_clear()
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for mu0 in mu0s:
-                mc_sample(ExperimentConfig(n_pulses=1000, q=0.05, mu0=float(mu0), eta=0.9, p_mix=0.1), seed=1)
-            gc.collect()
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert len(set(mu0s)) >= 20
-        assert 0 < retained <= worst + 65536
+        assert np.abs(probs - photon_averaged_probs(mu0, eta)).max() <= 1e-14
 
 
 class TestSimulatedWorstProbs:
