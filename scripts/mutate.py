@@ -11,7 +11,9 @@ at a time and runs its test files with pytest -x -q, one pytest process
 at a time.  The run fails when a mutant survives (or one marked
 equivalent is killed), when its original text no longer occurs exactly
 once (a stale table), or when a mutant breaks collection instead of
-failing a test.
+failing a test.  When the unmutated run fails or a mutant is BROKEN, the
+runner prints pytest's failing test IDs and the last lines of its output;
+passing runs and killed mutants stay quiet.
 tests/test_package.py runs the same stale-table check with every test run.
 
 Usage:
@@ -34,12 +36,23 @@ TABLE = ROOT / "scripts" / "mutants.json"
 
 # pytest's exit status when a test failed; collection errors and the like are other codes
 TESTS_FAILED = 1
+# lines of pytest's error report, and of its output's end, kept after its failing test IDs
+TAIL_LINES = 5
 
 
-def run_tests(copy: Path, tests: list[str]) -> int:
+def run_tests(copy: Path, tests: list[str]) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(command, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "--tb=line", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True)
+
+
+def summary(result: subprocess.CompletedProcess) -> str:
+    """pytest's failing test IDs, the last lines of its error report and of its output, indented."""
+    lines = (result.stdout + result.stderr).splitlines()
+    failed = [line for line in lines if line.startswith(("FAILED ", "ERROR "))]
+    errors = [line for line in lines if line.startswith("E ")][-TAIL_LINES:]  # a collection error's exception
+    tail = [line for line in lines[-TAIL_LINES:] if line.strip() and line not in failed]
+    return "\n".join("    " + line for line in failed + errors + tail)
 
 
 def stale_entries(root: Path, mutants: list[dict]) -> list[str]:
@@ -66,8 +79,9 @@ def main() -> int:
             return 1
 
         all_tests = sorted({test for mutant in mutants for test in mutant["tests"]})
-        if run_tests(copy, all_tests) != 0:
-            print(f"the unmutated tests fail: {' '.join(all_tests)}")
+        result = run_tests(copy, all_tests)
+        if result.returncode != 0:
+            print(f"the unmutated tests fail: {' '.join(all_tests)}\n{summary(result)}")
             return 1
 
         for mutant in mutants:
@@ -76,15 +90,18 @@ def main() -> int:
             path.write_text(original.replace(mutant["original"], mutant["replacement"]))
             start = time.perf_counter()
             try:
-                status = run_tests(copy, mutant["tests"])
+                result = run_tests(copy, mutant["tests"])
             finally:
                 path.write_text(original)
+            status = result.returncode
             if mutant.get("equivalent", False):
                 expected, verdicts = 0, {0: "equivalent", TESTS_FAILED: "KILLED"}
             else:
                 expected, verdicts = TESTS_FAILED, {0: "SURVIVED", TESTS_FAILED: "killed"}
             verdict = verdicts.get(status, f"BROKEN (pytest exit {status})")
             print(f"{verdict:<10} {mutant['name']}  ({time.perf_counter() - start:.1f} s)", flush=True)
+            if status not in verdicts:
+                print(summary(result), flush=True)
             if status != expected:
                 failures.append(mutant["name"])
 

@@ -281,19 +281,71 @@ def _shared_parser() -> argparse.ArgumentParser:
 
     Building it costs ~2 ms, several times a `rate --counts` certificate, so a
     caller that runs `main` repeatedly in one process pays that once; a console
-    launch runs `main` once and gains nothing.  `main` parses an argv that
-    starts with a command name with that command's subparser of this tree
-    alone, and any other argv with the tree's top level.  Reuse is safe:
-    `parse_args` returns a fresh namespace on each call, and the tree has no
-    `set_defaults` or custom actions that a parse could change.
+    launch runs `main` once and gains nothing.  `main` reads an argv that
+    starts with a command name from that command's subparser of this tree
+    alone: `_parse_plain` reads a well-formed line in one pass over the
+    subparser's action table, and the subparser's `parse_args` reads any other.
+    Any other argv goes to the tree's top level.  Reuse is safe: both readers
+    fill a fresh namespace on each call, and the tree has no `set_defaults` or
+    custom actions that a parse could change.
     """
     return build_parser()
+
+
+@functools.lru_cache(maxsize=1)
+def _commands(tree: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """tree's subparsers by command name, looked up once per tree."""
+    return next(a for a in tree._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def _command_parser(name: str) -> argparse.ArgumentParser:
     """The shared tree's subparser of command name, or the tree itself when name is no command."""
     tree = _shared_parser()
-    return next(a for a in tree._actions if isinstance(a, argparse._SubParsersAction)).choices.get(name, tree)
+    return _commands(tree).get(name, tree)
+
+
+def _parse_plain(parser: argparse.ArgumentParser, argv: list[str], namespace: argparse.Namespace):
+    """namespace filled from argv in one pass over parser's own action table, or None for argparse to read argv.
+
+    It reads a line only where argparse would read it the same way and accept
+    it: every token is a full flag name of a stored value or a switch, each
+    stored value follows its flag and does not begin with '-', it converts and
+    passes the flag's choices through argparse's own checks, and no required
+    flag is missing.  Unseen flags get their defaults as argparse fills them.
+    It returns None on help, a '--flag=value' token, a value that begins with
+    '-', or anything argparse may refuse, and namespace may then hold some
+    flags: argparse reads argv again from a fresh one, and prints or refuses it
+    with its own message.
+    """
+    options, seen = parser._option_string_actions, set()
+    tokens = iter(argv)
+    try:
+        for token in tokens:
+            action = options.get(token)
+            if type(action) is argparse._StoreTrueAction:
+                value = True
+            elif type(action) is argparse._StoreAction and action.nargs is None:
+                text = next(tokens, "-")  # a flag with no value reads as one followed by a flag
+                if text.startswith("-"):  # argparse takes a negative number as a value and refuses other such tokens
+                    return None
+                value = parser._get_value(action, text)
+                parser._check_value(action, value)
+            else:  # help, an unknown or abbreviated flag, '--flag=value', '--' or a positional
+                return None
+            setattr(namespace, action.dest, value)
+            seen.add(action)
+        for action in parser._actions:
+            if action in seen:
+                continue
+            if action.required:
+                return None
+            dest, default = action.dest, action.default
+            # a --config counts object is already on namespace, and stays
+            if dest is not argparse.SUPPRESS and default is not argparse.SUPPRESS and not hasattr(namespace, dest):
+                setattr(namespace, dest, parser._get_value(action, default) if isinstance(default, str) else default)
+    except argparse.ArgumentError:  # a value that does not convert or is not among the choices
+        return None
+    return namespace
 
 
 def cmd_rate(args) -> _Result:
@@ -507,6 +559,14 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line (sys.argv[1:] by default); returns the exit status, 0 or 2 after a staged error.
+
+    A --config document is expanded into flags first.  A line that starts with
+    a command name is read by that command's subparser alone: in one pass over
+    its action table when every token is well formed (`_parse_plain`), and by
+    argparse otherwise, which alone prints help and reads '--flag=value'
+    tokens, so every --config run, and words every error[arguments] message.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv, defaults = _expand_config_args(argv)
@@ -514,7 +574,8 @@ def main(argv: list[str] | None = None) -> int:
         if parser is _shared_parser():
             args = parser.parse_args(argv)  # prints help or raises error[arguments]
         else:  # the top-level parser would hand the rest to this subparser
-            args = parser.parse_args(argv[1:], argparse.Namespace(command=argv[0], **defaults))
+            fresh = functools.partial(argparse.Namespace, command=argv[0], **defaults)
+            args = _parse_plain(parser, argv[1:], fresh()) or parser.parse_args(argv[1:], fresh())
         report, save = _COMMANDS[args.command](args)
         with _stage("writing output"):
             if save is not None:

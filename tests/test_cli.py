@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import siqrng
@@ -155,6 +155,50 @@ def parse_doc(out: str) -> dict:
         key, _, value = line.partition(": ")
         doc[key] = value
     return doc
+
+
+# Tokens the plain reader must leave to argparse, mixed into generated command lines.
+NOISE = ["-h", "--help", "--", "-", "stray", "--bogus", "--N=1e6", "--simulate=1", "--mu", "-0.1", ""]
+# An accepted value of each required flag.
+VALID = {"N": "1e8", "input": "RAW", "seed_file": "SEED"}
+
+
+def flag_tokens(action):
+    """action's flag, followed by a value unless it is a switch: mostly valid, else malformed or flag-like."""
+    flag = st.sampled_from(action.option_strings)
+    if action.nargs == 0:
+        return flag.map(lambda f: [f])
+    if action.choices is not None:
+        good, bad = st.sampled_from(action.choices), st.sampled_from(["bogus", "", "-x"])
+    elif action.type is float:
+        good = st.one_of(st.sampled_from(["1e6", "0.05", "nan", "1_0"]), st.floats(min_value=0.0).map(repr))
+        bad = st.one_of(st.sampled_from(["-0.1", "-inf", "x", ""]), st.floats(max_value=-1e-300).map(repr))
+    elif action.type is int:
+        good, bad = st.integers(min_value=0).map(str), st.sampled_from(["-1", "3.5", " 7", "x", ""])
+    else:
+        good, bad = st.sampled_from(["F", "", "a=b", "out.csv"]), st.sampled_from(["-r.csv", "-", "--simulate"])
+    return st.tuples(flag, st.one_of(good, good, good, bad)).map(list)
+
+
+def typed(namespace: dict) -> dict:
+    """namespace's values by type and text, so 1 differs from 1.0 and True, and nan equals nan."""
+    return {key: (type(value), repr(value)) for key, value in namespace.items()}
+
+
+def read_both(command, argv, **preset):
+    """The plain reader's namespace (None: it defers) and argparse's as a dict (None: it refuses or prints help).
+
+    The plain reader either defers or reads exactly what argparse reads from a fresh namespace.
+    """
+    parser = cli._command_parser(command)
+    plain = cli._parse_plain(parser, argv, argparse.Namespace(command=command, **preset))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            expected = vars(parser.parse_args(argv, argparse.Namespace(command=command, **preset)))
+    except (CliError, SystemExit):
+        expected = None
+    assert plain is None or (expected is not None and typed(vars(plain)) == typed(expected))
+    return plain, expected
 
 
 @pytest.fixture
@@ -799,8 +843,59 @@ class TestParser:
         rc, _, _ = run(capsys, [{**stage_files, "CONFIG": str(config)}.get(arg, arg) for arg in argv])
         command = "rate" if argv[0] == "--config" else argv[0]
         assert rc == (2 if "--bogus" in argv else 0)
-        assert [parser.prog for parser in parsed] == [f"siqrng {command}"]
+        # a well-formed line is read from the subparser's action table; the --config document's --flag=value
+        # tokens and the bad flag go to the subparser's argparse, never to the top level
+        assert [parser.prog for parser in parsed] == ([f"siqrng {command}"] if {"CONFIG", "--bogus"} & {*argv} else [])
         assert top not in parsed
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_plain_reader_agrees_with_argparse(self, data):
+        command = data.draw(st.sampled_from(sorted(cli._COMMANDS)))
+        actions = [action for action in cli._command_parser(command)._actions if action.dest != argparse.SUPPRESS]
+        items = data.draw(st.lists(st.sampled_from(actions).flatmap(flag_tokens), max_size=6))
+        if data.draw(st.booleans()):
+            items.insert(data.draw(st.integers(0, len(items))), [data.draw(st.sampled_from(NOISE))])
+        drop_required = not data.draw(st.integers(0, 3))
+        required = [] if drop_required else [[a.option_strings[0], VALID[a.dest]] for a in actions if a.required]
+        argv = [token for item in required + items for token in item]
+        preset = {"counts": INLINE_COUNTS} if command == "rate" and data.draw(st.booleans()) else {}
+        read_both(command, argv, **preset)
+
+    @pytest.mark.parametrize(
+        "command, argv, read, accepted",
+        [
+            ("rate", ["--simulate", "--mc", "--N", "1e6", "--q", "0.05", "--mu0", "1.4", "--seed", "3"], True, True),
+            ("optimize", ["--N", "1e8", "--policy", "assign", "--N", "1e6", "--refine-levels", " 2"], True, True),
+            ("rate", ["--simulate", "--p", "-0.1"], False, True),
+            ("rate", ["--counts", "F", "--out", "-r.csv"], False, False),
+            ("rate", ["--counts", ""], True, True),
+            ("rate", ["--simulate", "--counts"], False, False),
+            ("rate", ["--simulate", "--mu", "1"], False, False),
+            ("rate", ["-h"], False, False),
+            ("extract", ["--help"], False, False),
+            ("extract", ["--input", "RAW", "--m", "1"], False, False),
+            ("rate", ["--counts", "F", "--policy", "bogus"], False, False),
+            ("rate", ["--simulate", "--seed", "3.5"], False, False),
+            ("rate", ["--N=1e6"], False, True),
+            ("rate", ["--simulate=1"], False, False),
+            ("rate", ["--simulate", "--"], False, None),  # argparse's reading of '--' differs across versions
+            ("compare", ["stray"], False, False),
+        ],
+        ids=[
+            "well-formed", "repeated-flag", "negative-value", "dash-value", "empty-value", "no-value", "prefix",
+            "short-help", "long-help", "required-missing", "bad-choice", "bad-int", "flag-equals-value",
+            "switch-equals-value", "double-dash", "positional",
+        ],
+    )
+    def test_plain_reader_defers_what_argparse_alone_reads(self, command, argv, read, accepted):
+        plain, expected = read_both(command, argv)
+        assert (plain is not None) == read
+        assert accepted is None or (expected is not None) == accepted
+
+    def test_plain_reader_keeps_the_config_counts_object(self):
+        plain, _ = read_both("rate", ["--N", "12000"], counts=INLINE_COUNTS)
+        assert plain.counts is INLINE_COUNTS and plain.policy == "discard" and plain.eps1 == DEFAULT_EPSILON
 
     @pytest.mark.parametrize(
         "argv, expected",
