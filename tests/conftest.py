@@ -257,6 +257,29 @@ def per_pulse_sample(config, seed: int):
     return ClickStats(*counts, *pulses)
 
 
+def one_call_group_sample(config, seed: int):
+    """Reference Monte Carlo: the four groups' outcomes drawn in one broadcast multinomial.
+
+    The basis split and the mixed share are drawn as mc_sample draws them,
+    then one `rng.multinomial` over the (4,) group sizes and the (4, 4)
+    closed-form rates.  numpy draws the broadcast rows one after another,
+    so mc_sample's four one-dimensional calls must give exactly these counts.
+    """
+    from siqrng.acquisition import BasisCounts
+    from siqrng.detector import ClickStats, _arm_rates
+
+    n = int(config.n_pulses)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    n_x, n_y, n_z = rng.multinomial(n, [config.q, config.q, 1.0 - 2.0 * config.q]).tolist()
+    n_mixed = rng.binomial(n_x, config.p_mix)
+    click, single, double, dark = _arm_rates(config.mu)
+    routed = (single, single, double, dark)
+    probs = ((click, 0.0, 0.0, dark), routed, routed, routed)
+    pure, mixed, y, z = rng.multinomial([n_x - n_mixed, n_mixed, n_y, n_z], probs).tolist()
+    x = BasisCounts(pure[0] + mixed[0], pure[1] + mixed[1], pure[2] + mixed[2])
+    return ClickStats(x, BasisCounts(*y[:3]), BasisCounts(*z[:3]), n_x, n_y, n_z)
+
+
 def reference_fmt(value) -> str:
     """Reference report formatting: bool, int and float by isinstance, everything else by str."""
     if isinstance(value, bool):

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -13,6 +14,7 @@ from conftest import (
     MAX_PHOTONS,
     PHOTON_TAIL,
     double_click_prob,
+    one_call_group_sample,
     outcome_probs,
     per_pulse_sample,
     photon_averaged_probs,
@@ -113,12 +115,21 @@ class TestAnalytic:
         assert abs(click + dark - 1.0) <= 2.0 * np.finfo(float).eps
         assert abs(2.0 * single + double + dark - 1.0) <= 4.0 * np.finfo(float).eps
 
-    def test_doubles_keep_their_digits_at_small_intensity(self):
-        # the double rate (1 - Eh)^2 is mu^2 / 4 to leading order; 1 - Eh keeps about four digits at 1e-12
-        for mu in (1e-12, 1e-10, 1e-8, 1e-5):
-            _, single, double, _ = _arm_rates(mu)
-            assert double == pytest.approx(mu * mu / 4.0, rel=1e-3, abs=0.0)
-            assert single == pytest.approx(mu / 2.0, rel=1e-3, abs=0.0)
+    @given(mu=st.floats(min_value=1e-12, max_value=1e-4) | st.floats(min_value=-12.0, max_value=-4.0).map(lambda e: 10.0**e))
+    @example(mu=1e-12)
+    @example(mu=1.0003984502978545e-12)
+    @example(mu=1e-8)
+    @example(mu=1e-4)
+    def test_doubles_keep_their_digits_at_small_intensity(self, mu):
+        # 1 - exp(-mu / 2) cancels: it keeps about four digits at 1e-12; -expm1 keeps them all
+        with mpmath.workdps(50):
+            exact_mu = mpmath.mpf(mu)
+            e_full, e_half = mpmath.exp(-exact_mu), mpmath.exp(-exact_mu / 2)
+            hit_half = 1 - e_half
+            exact = [1 - e_full, e_half * hit_half, hit_half * hit_half, e_full]
+        for rates in (_arm_rates(mu), _arm_rates(np.array(mu), np.exp)):
+            for rate, want in zip(rates, exact):
+                assert float(rate) == pytest.approx(float(want), rel=1e-15, abs=0.0)
 
 
 def enumerated_double_click_prob(m: int, eta: float, basis: str, p_mix: float) -> float:
@@ -385,6 +396,19 @@ class TestGoldenStream:
         stats = mc_sample(config, seed)
         assert (tuple(stats.x), tuple(stats.y), tuple(stats.z), *stats_pulses(stats)) == expected
 
+    @given(
+        n_pulses=st.integers(min_value=1, max_value=2**63 - 1),
+        q=st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True),
+        mu0=st.floats(min_value=0.0, max_value=1e6, exclude_min=True),
+        eta=st.floats(min_value=0.0, max_value=1.0),
+        p_mix=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @example(n_pulses=2**63 - 1, q=0.1, mu0=1.0, eta=1.0, p_mix=0.1, seed=0)
+    def test_groups_are_the_one_call_draw(self, n_pulses, q, mu0, eta, p_mix, seed):
+        config = ExperimentConfig(n_pulses=n_pulses, q=q, mu0=mu0, eta=eta, p_mix=p_mix)
+        assert mc_sample(config, seed) == one_call_group_sample(config, seed)
+
 
 def stats_pulses(stats):
     return stats.pulses_x, stats.pulses_y, stats.pulses_z
@@ -392,7 +416,7 @@ def stats_pulses(stats):
 
 @pytest.fixture
 def drawn_probs(monkeypatch):
-    """Call with a config to get the (4, 4) outcome probabilities mc_sample's group multinomial draws from."""
+    """Call with a config to get the (4, 4) outcome probabilities of mc_sample's four group multinomials."""
     seen = []
 
     class Recording(np.random.Generator):
@@ -404,7 +428,7 @@ def drawn_probs(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(np.random, "Generator", Recording)
             mc_sample(config, seed=0)
-        return seen[-1]
+        return np.stack(seen[-4:])
 
     return probe
 
